@@ -180,7 +180,24 @@ class BuddyAllocator:
         return frame
 
     def alloc_frames(self, count: int, pool: str = "data") -> list[int]:
-        return [self.alloc_frame(pool) for _ in range(count)]
+        """``count`` consecutive :meth:`alloc_frame` calls, one run at a
+        time: the same frames, and ``_start_run`` (with its shared
+        ``_rng`` draws) runs exactly where the per-frame loop would."""
+        frames: list[int] = []
+        if count <= 0:
+            return frames
+        state = self._pool(pool)
+        left = count
+        while left > 0:
+            if state.remaining <= 0:
+                self._start_run(state)
+            take = min(state.remaining, left)
+            frames.extend(range(state.next_frame, state.next_frame + take))
+            state.next_frame += take
+            state.remaining -= take
+            left -= take
+        self.stats.frames_allocated += count
+        return frames
 
     def alloc_run(
         self, count: int, pool: str = "data", aligned: bool = True

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.kernelsim.buddy import BuddyAllocator
 from repro.kernelsim.pt_layout import AsapPtLayout
 from repro.kernelsim.vma import Vma, VmaKind, VmaTree
@@ -32,6 +34,13 @@ class TouchResult:
     faulted: bool
     leaf_level: int
     created_nodes: list[tuple[int, int, int]]  # (level, tag, phys_base)
+
+
+def _keys_in(keys: np.ndarray, table: dict[int, int]) -> np.ndarray:
+    """Which of ``keys`` are keys of ``table`` (vectorised ``in``)."""
+    if not table:
+        return np.zeros(keys.shape, dtype=bool)
+    return np.isin(keys, np.fromiter(table, dtype=np.int64, count=len(table)))
 
 
 # Vma gains a page-size attribute through composition here rather than on
@@ -128,57 +137,104 @@ class ProcessAddressSpace:
                            created_nodes=created)
 
     def populate(self, vpns) -> int:
-        """Pre-fault a sequence of vpns (steady-state warm-up); returns the
-        number of faults taken.
+        """Pre-fault a sequence of vpns (steady-state warm-up) in order;
+        returns the number of faults taken.
 
-        Same faulting pipeline as :meth:`touch` per vpn, inline: the
-        warm-up loop runs once per distinct page of every simulation, and
-        it needs neither the :class:`TouchResult` nor the created-node
-        inventory that the general path materialises.
+        The outcome is exactly a :meth:`touch` per vpn — the same frames,
+        PT nodes and layout holes, the same allocator state and ``_rng``
+        draws (the data and PT pools share them), the same fault count,
+        and the same :class:`SegmentationFault` on the first unmapped
+        vpn, raised after the faults before it are counted — but it is
+        computed run-wise.  Only *boundary* vpns go through
+        ``alloc_frame``/``alloc_run`` + ``map_page`` one at a time: the
+        first vpn of every PTE node that does not exist yet (its
+        ``map_page`` places PT nodes, drawing frames between the data
+        frames) and every large-page-backed vpn.  Every vpn between two
+        boundaries takes its frame from one run-based ``alloc_frames``
+        slice and its leaf from one ``pages.update``.
         """
-        before = self.faults
+        vpns = np.asarray(vpns, dtype=np.int64).ravel()
         page_table = self.page_table
-        map_page = page_table.map_page
-        find_vma = self.vmas.find
-        page_levels = self._page_levels
         pages, large = page_table.leaf_maps()
-        pte_nodes = page_table.leaf_nodes(1)
+        # First occurrences, in order; a vpn mapped before the call
+        # takes no fault.
+        _, first = np.unique(vpns, return_index=True)
+        vpns = vpns[np.sort(first)]
+        vpns = vpns[~(_keys_in(vpns, pages)
+                      | _keys_in(vpns >> c.LEVEL_BITS, large))]
+
+        vmas = list(self.vmas)
+        starts = np.array([vma.start >> c.PAGE_SHIFT for vma in vmas],
+                          dtype=np.int64)
+        ends = np.array([vma.end >> c.PAGE_SHIFT for vma in vmas],
+                        dtype=np.int64)
+        which = np.searchsorted(starts, vpns, side="right") - 1
+        inside = which >= 0
+        if vmas:
+            inside &= vpns < ends[np.maximum(which, 0)]
+        outside = np.flatnonzero(~inside)
+        unmapped = int(vpns[outside[0]]) if outside.size else None
+        stop = int(outside[0]) if outside.size else vpns.size
+        vpns = vpns[:stop]
+        which = which[:stop]
+        levels = np.array([self._page_levels[id(vma)] for vma in vmas],
+                          dtype=np.int64)[which]
+        # A 2MB mapping faults once, at the first vpn of its large page.
+        is_large = levels == 2
+        groups = vpns >> c.LEVEL_BITS
+        keep = ~is_large
+        if is_large.any():
+            large_at = np.flatnonzero(is_large)
+            _, first = np.unique(groups[large_at], return_index=True)
+            keep[large_at[first]] = True
+            vpns, which, groups, is_large = (
+                vpns[keep], which[keep], groups[keep], is_large[keep])
+        # The first vpn of a PTE node that does not exist yet creates it.
+        small_at = np.flatnonzero(~is_large)
+        _, first = np.unique(groups[small_at], return_index=True)
+        creators = small_at[first]
+        creators = creators[~_keys_in(groups[creators],
+                                      page_table.leaf_nodes(1))]
+        boundaries = np.union1d(creators, np.flatnonzero(is_large))
+
         buddy = self.buddy
-        alloc_frame = buddy.alloc_frame
         data_pool = self.data_pool
+        map_page = page_table.map_page
+        vpn_list = vpns.tolist()
+        which_list = which.tolist()
+        large_list = is_large.tolist()
         faults = 0
         try:
-            for vpn in vpns:
-                vpn = int(vpn)
-                if vpn in pages or (vpn >> c.LEVEL_BITS) in large:
-                    continue
-                va = vpn << c.PAGE_SHIFT
-                vma = find_vma(va)
-                if vma is None:
-                    raise SegmentationFault(
-                        f"{va:#x} is not mapped by any VMA")
-                leaf_level = page_levels[id(vma)]
-                self._fault_vma = vma
-                if leaf_level == 1:
-                    frame = alloc_frame(data_pool)
-                    if (vpn >> c.LEVEL_BITS) in pte_nodes:
-                        # Interior nodes exist: install the leaf directly
-                        # (what map_page's fast path would do).
-                        pages[vpn] = frame
-                    else:
-                        map_page(va, frame, 1)
-                else:
+            done = 0
+            for at in boundaries.tolist() + [len(vpn_list)]:
+                if at > done:
+                    run = vpn_list[done:at]
+                    pages.update(zip(run, buddy.alloc_frames(len(run),
+                                                             data_pool)))
+                    faults += len(run)
+                if at == len(vpn_list):
+                    break
+                va = vpn_list[at] << c.PAGE_SHIFT
+                self._fault_vma = vmas[which_list[at]]
+                if large_list[at]:
                     frame = buddy.alloc_run(
                         c.ENTRIES_PER_NODE, pool=data_pool, aligned=True)
                     map_page(va, frame, 2)
+                else:
+                    map_page(va, buddy.alloc_frame(data_pool), 1)
+                self._fault_vma = None
                 faults += 1
+                done = at + 1
+            if unmapped is not None:
+                raise SegmentationFault(
+                    f"{unmapped << c.PAGE_SHIFT:#x} is not mapped by any VMA")
         finally:
-            # Count even the faults a mid-loop SegmentationFault strands:
-            # their frames were allocated and leaves installed, exactly
-            # as the per-vpn touch() loop this replaced counted them.
+            # Count even the faults a SegmentationFault strands: their
+            # frames were allocated and leaves installed, as touch()
+            # would have left them.
             self._fault_vma = None
             self.faults += faults
-        return self.faults - before
+        return faults
 
     # ------------------------------------------------------------------
     # translation services for the simulator

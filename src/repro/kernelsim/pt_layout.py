@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.kernelsim.buddy import BuddyAllocator
 from repro.kernelsim.vma import Vma
 from repro.pagetable import constants as c
@@ -150,6 +152,19 @@ class AsapPtLayout:
             return True
         tag = c.node_tag(va, level)
         return tag in region.holes or not region.covers(tag)
+
+    def hole_mask(self, vma: Vma, level: int, vas: np.ndarray) -> np.ndarray:
+        """:meth:`is_hole` over an int64 array of VAs inside ``vma``."""
+        region = self._regions.get((id(vma), level))
+        if region is None:
+            return np.ones(vas.shape, dtype=bool)
+        tags = vas >> (c.level_shift(level) + c.LEVEL_BITS)
+        outside = ((tags < region.first_tag)
+                   | (tags >= region.first_tag + region.capacity))
+        if region.holes:
+            outside |= np.isin(tags, np.fromiter(
+                region.holes, dtype=np.int64, count=len(region.holes)))
+        return outside
 
     def descriptor_bases(self, vma: Vma) -> dict[int, int]:
         """level -> base operand for the VMA's range-register descriptor."""

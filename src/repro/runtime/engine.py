@@ -203,20 +203,33 @@ class Engine:
         """Execute the cache misses: inline for one job (or one worker),
         otherwise fanned out over the pool.
 
+        Either way, every streamed generated-trace axis of the batch is
+        generated once up front (``repro.traces.share``) and replayed
+        zero-copy (mmap) by every cell on it, instead of each cell
+        regenerating it for its populate pass and again for its record
+        loop.
+
         This is the engine's execution seam: everything above it (dedup,
         cache probes, report accounting, obs lifecycle) is shared with
         :class:`repro.service.client.ServiceEngine`, which overrides
         only this method to route cold cells through the persistent
         queue instead of this process's pool.
         """
-        if len(pending) == 1 or self.jobs == 1:
-            for job in pending:
-                self._finish(job, *self._execute_inline(job, recorder),
-                             results=results, report=report,
-                             printer=printer)
-        else:
-            self._execute_pool(pending, recorder, results=results,
-                               report=report, printer=printer)
+        from repro.traces import share
+
+        cache_root = self.cache.root if self.cache is not None else None
+        with share.materialized(pending, cache_root) as overlay:
+            if len(pending) == 1 or self.jobs == 1:
+                with share.activated(overlay):
+                    for job in pending:
+                        self._finish(job,
+                                     *self._execute_inline(job, recorder),
+                                     results=results, report=report,
+                                     printer=printer)
+            else:
+                self._execute_pool(pending, recorder, overlay,
+                                   results=results, report=report,
+                                   printer=printer)
 
     def _execute_inline(self, job: Job, recorder) -> tuple[Any, float]:
         """Run one job in-process, under a ``job`` span when observed.
@@ -239,26 +252,20 @@ class Engine:
         recorder.end("job", seconds=round(seconds, 3))
         return value, seconds
 
-    def _execute_pool(self, pending: list[Job], recorder, *,
+    def _execute_pool(self, pending: list[Job], recorder, overlay: dict, *,
                       results: dict[Job, Any], report: SweepReport,
                       printer) -> None:
-        """Fan ``pending`` out over worker processes.
+        """Fan ``pending`` out over worker processes, each with the
+        batch's shared-trace ``overlay`` installed.
 
         A worker failure is re-raised as :class:`JobExecutionError`
         naming the job and spec hash — a pool traceback alone cannot
         say which of the in-flight jobs died.
-
-        Streamed generated-trace axes shared by the batch are
-        materialised once up front (``repro.traces.share``) and opened
-        zero-copy (mmap) inside each worker, instead of every worker
-        regenerating its own in-memory copy of the same records.
         """
         from repro.traces import share
 
         workers = min(self.jobs, len(pending))
         entry = _timed_execute if recorder is None else _timed_execute_obs
-        overlay = share.prepare(
-            pending, self.cache.root if self.cache is not None else None)
         pool_kwargs = ({"initializer": share.activate,
                         "initargs": (overlay,)} if overlay else {})
         with ProcessPoolExecutor(max_workers=workers, **pool_kwargs) as pool:

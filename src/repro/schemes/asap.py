@@ -11,10 +11,48 @@ instruction-identical to the pre-scheme dispatch).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import AsapConfig
 from repro.core.prefetcher import AsapPrefetcher
 from repro.core.range_registers import RangeRegisterFile
+from repro.kernelsim.pt_layout import AsapPtLayout
+from repro.kernelsim.vma import VmaTree
 from repro.schemes.base import SchemeSpec, TranslationScheme, WalkStartHook
+
+
+class HoleChecker:
+    """Where a base-plus-offset prefetch misses the real PT node: the VA
+    lies in no VMA, or the layout placed its node out of region (see
+    :meth:`AsapPtLayout.is_hole`).  Calling it answers one ``(va,
+    level)`` for the scalar prefetcher; :meth:`mask` answers a whole
+    VA array for the columnar kernel's path rows.  Both read the live
+    VMA tree and layout, so a grown VMA or a new hole shows up in both.
+    """
+
+    def __init__(self, vmas: VmaTree, layout: AsapPtLayout) -> None:
+        self.vmas = vmas
+        self.layout = layout
+
+    def __call__(self, va: int, level: int) -> bool:
+        vma = self.vmas.find(va)
+        return vma is None or self.layout.is_hole(vma, level, va)
+
+    def mask(self, vas: np.ndarray, level: int) -> np.ndarray:
+        """Per-element :meth:`__call__` over an int64 VA array."""
+        vmas = list(self.vmas)
+        holes = np.ones(vas.shape, dtype=bool)
+        if not vmas:
+            return holes
+        starts = np.array([vma.start for vma in vmas], dtype=np.int64)
+        ends = np.array([vma.end for vma in vmas], dtype=np.int64)
+        which = np.searchsorted(starts, vas, side="right") - 1
+        inside = (which >= 0) & (vas < ends[np.maximum(which, 0)])
+        for index, vma in enumerate(vmas):
+            at = np.flatnonzero(inside & (which == index))
+            if at.size:
+                holes[at] = self.layout.hole_mask(vma, level, vas[at])
+        return holes
 
 
 class AsapScheme(TranslationScheme):
@@ -45,19 +83,12 @@ class AsapScheme(TranslationScheme):
             build_native_descriptors(process,
                                      sim.machine.asap.range_registers)
         )
-        layout = process.asap_layout
-        vmas = process.vmas
-
-        def hole_checker(va: int, level: int) -> bool:
-            vma = vmas.find(va)
-            return vma is None or layout.is_hole(vma, level, va)
-
         prefetcher = AsapPrefetcher(
             sim.hierarchy,
             registers,
             levels=config.native_levels,
             require_mshr=sim.machine.asap.require_free_mshr,
-            hole_checker=hole_checker,
+            hole_checker=HoleChecker(process.vmas, process.asap_layout),
         )
         sim.prefetcher = prefetcher
         self._prefetchers.append(prefetcher)
@@ -81,19 +112,13 @@ class AsapScheme(TranslationScheme):
                     "and a VM backing guest PT regions contiguously"
                 )
             registers.load(descriptors)
-            layout = vm.guest.asap_layout
-            vmas = vm.guest.vmas
-
-            def hole_checker(va: int, level: int) -> bool:
-                vma = vmas.find(va)
-                return vma is None or layout.is_hole(vma, level, va)
-
             guest_prefetcher = AsapPrefetcher(
                 sim.hierarchy,
                 registers,
                 levels=config.guest_levels,
                 require_mshr=sim.machine.asap.require_free_mshr,
-                hole_checker=hole_checker,
+                hole_checker=HoleChecker(vm.guest.vmas,
+                                         vm.guest.asap_layout),
             )
             sim.guest_prefetcher = guest_prefetcher
             self._prefetchers.append(guest_prefetcher)

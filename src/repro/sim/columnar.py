@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.pagetable.constants import ENTRY_BYTES, level_shift
 from repro.tlb.tlb import ASID_SHIFT, asid_bias
 from repro.traces.source import kernel_chunk
 
@@ -1081,12 +1082,14 @@ def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
 
     Returns ``"plain"`` for the hook-free fast-sweep configuration
     (``fast_ok``), ``"asap"`` when the only hook is an AsapPrefetcher's
-    ``on_tlb_miss`` walk-start, ``"victima"`` when the hooks are exactly
-    a Victima scheme's probe + L2-TLB-eviction park pair, and ``None``
-    otherwise (Revelator, co-runner and custom-hook cells stay on the
-    scalar loop).  All modes additionally need power-of-two set counts
-    and a compiled backend.  In-flight MSHRs are fine — the kernel
-    carries the MSHR file and has the merge branch.
+    ``on_tlb_miss`` walk-start whose hole checker is ``None`` or answers
+    in bulk through ``mask``, ``"victima"`` when the hooks are exactly a
+    Victima scheme's probe + L2-TLB-eviction park pair, and ``None``
+    otherwise (Revelator, co-runner and custom-hook cells — a per-VA
+    hole checker included — stay on the scalar loop).  All modes
+    additionally need power-of-two set counts and a compiled backend.
+    In-flight MSHRs are fine — the kernel carries the MSHR file and has
+    the merge branch.
     """
     mode = None
     if fast_ok:
@@ -1115,6 +1118,8 @@ def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
                     and prefetcher.levels
                     and len(prefetcher.levels) <= 4
                     and all(1 <= lv <= 4 for lv in prefetcher.levels)
+                    and (prefetcher.hole_checker is None
+                         or hasattr(prefetcher.hole_checker, "mask"))
                     and _asap_pages_aligned(sim, prefetcher)):
                 mode = "asap"
         elif probe is not None and walk_start is None:
@@ -1152,17 +1157,26 @@ class _PathTable:
         self.rows = np.empty(0, dtype=np.int64)   # row ids, aligned
         self.paths = np.empty((0, _PATH_COLS), dtype=np.int64)
         self.count = 0
+        #: Key-sorted leaf maps, built on the run's first new VPN.
+        self._leaf_index = None
 
     def clear(self) -> None:
         self.__init__()
+
+    def begin_run(self) -> None:
+        """Forget the leaf-map index: the page table is static during a
+        run, not between runs (a later run may populate more pages)."""
+        self._leaf_index = None
 
     def rows_for(self, vpns: np.ndarray, process, vbias: int,
                  asap=None) -> np.ndarray:
         """Row index for every element of ``vpns`` (biased), building
         rows for VPNs not seen before.  ``asap`` is ``None`` or the
         ``(starts, descriptors, levels, hole_checker)`` replay context
-        used to precompute the prefetch-target columns."""
-        uniq = np.unique(vpns)
+        used to precompute the prefetch-target columns; its hole checker
+        is ``None`` or answers in bulk through ``mask(vas, level)`` (see
+        :class:`repro.schemes.asap.HoleChecker`)."""
+        uniq, inverse = np.unique(vpns, return_inverse=True)
         if self.known.size:
             slot = np.searchsorted(self.known, uniq)
             hit = (self.known[np.minimum(slot, self.known.size - 1)]
@@ -1172,32 +1186,23 @@ class _PathTable:
             new = uniq
         if new.size:
             self._add(new, process, vbias, asap)
-        return self.rows[np.searchsorted(self.known, vpns)]
+        return self.rows[np.searchsorted(self.known, uniq)][inverse]
 
     def _add(self, new: np.ndarray, process, vbias: int,
              asap=None) -> None:
         pt = process.page_table
         raw = new & ((1 << ASID_SHIFT) - 1) if vbias else new
         count = new.size
-        pages, large = pt.leaf_maps()
-        leaf = np.empty(count, dtype=np.int64)
-        pframe = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            vpn = int(raw[i])
-            frame = pages.get(vpn)
-            if frame is not None:
-                leaf[i] = 1
-                pframe[i] = frame
-                continue
-            lframe = large.get(vpn >> 9)
-            if lframe is not None:
-                leaf[i] = 2
-                pframe[i] = lframe + (vpn & 511)
-                continue
+        if self._leaf_index is None:
+            pages, large = pt.leaf_maps()
+            self._leaf_index = (_sorted_items(pages), _sorted_items(large))
+        leaf, pframe = _leaf_columns(raw, *self._leaf_index)
+        missing = np.flatnonzero(leaf == 0)
+        if missing.size:
             # Unmapped: raise the PageFault the scalar walk would (at
             # chunk pre-scan rather than at the faulting record — the
             # only observable divergence, and only on faulting traces).
-            process.flat_walk(vpn << 12)
+            process.flat_walk(int(raw[missing[0]]) << 12)
             raise AssertionError("flat_walk did not raise for an "
                                  "unmapped vpn")
 
@@ -1219,32 +1224,7 @@ class _PathTable:
         rows[:, 11:15] = -1
         rows[:, 15:19] = 0
         if asap is not None:
-            # ASAP replay columns.  Range-register lookup replayed as a
-            # side-effect-free bisect (the hit/miss counters live in the
-            # kernel); entry addresses and hole flags are page-constant
-            # because the dispatch precondition requires page-aligned
-            # descriptors and VMAs, so the page-base VA stands in for
-            # every record VA on the page.
-            from bisect import bisect_right
-
-            starts, descriptors, levels, hole_checker = asap
-            for i in range(count):
-                va = int(raw[i]) << 12
-                idx = bisect_right(starts, va) - 1
-                if idx < 0:
-                    continue
-                descriptor = descriptors[idx]
-                if not (descriptor.start <= va < descriptor.end):
-                    continue
-                rows[i, 10] = 1
-                for s, level in enumerate(levels):
-                    target = descriptor.entry_addr(va, level)
-                    if target is None:
-                        continue
-                    rows[i, 11 + s] = target >> 6
-                    if (hole_checker is not None
-                            and hole_checker(va, level)):
-                        rows[i, 15 + s] = 1
+            _asap_columns(rows, raw << 12, *asap)
 
         start = self.count
         needed = start + count
@@ -1274,6 +1254,74 @@ class _PathTable:
                             dtype=np.int64, count=uniq.size)
         index = (raw >> (9 * (level - 1))) & 511
         return (bases[inverse] + index * 8) >> 6
+
+
+def _sorted_items(table: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A dict's keys and values as key-sorted int64 arrays."""
+    keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+    values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    order = np.argsort(keys, kind="stable")
+    return keys[order], values[order]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, probe: np.ndarray):
+    """``(found, value)`` of each ``probe`` element in sorted ``keys``."""
+    if not keys.size:
+        return np.zeros(probe.shape, dtype=bool), np.zeros_like(probe)
+    slot = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    return keys[slot] == probe, values[slot]
+
+
+def _leaf_columns(raw: np.ndarray, pages: tuple, large: tuple):
+    """Leaf level (1 = 4KB, 2 = 2MB, 0 = unmapped) and 4KB frame per raw
+    vpn — ``RadixPageTable.lookup`` in bulk over the key-sorted leaf
+    maps ``pages`` (vpn -> frame) and ``large`` (vpn >> 9 -> frame)."""
+    leaf = np.zeros(raw.shape, dtype=np.int64)
+    pframe = np.zeros(raw.shape, dtype=np.int64)
+    found, frame = _lookup(*pages, raw)
+    leaf[found] = 1
+    pframe[found] = frame[found]
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        found, frame = _lookup(*large, raw[rest] >> 9)
+        at = rest[found]
+        leaf[at] = 2
+        pframe[at] = frame[found] + (raw[at] & 511)
+    return leaf, pframe
+
+
+def _asap_columns(rows: np.ndarray, vas: np.ndarray, starts, descriptors,
+                  levels, hole_checker) -> None:
+    """Fill the ASAP replay columns (10-18) of ``rows``, one row per
+    page-base VA: the range-register lookup as a side-effect-free
+    ``searchsorted`` (the hit/miss counters live in the kernel), each
+    level's ``entry_addr`` line, and the hole mask.  Page-constant
+    because the dispatch precondition requires page-aligned descriptors
+    and VMAs, so the page base stands in for every record VA on it."""
+    if not descriptors:
+        return
+    ends = np.array([d.end for d in descriptors], dtype=np.int64)
+    which = np.searchsorted(np.asarray(starts, dtype=np.int64), vas,
+                            side="right") - 1
+    safe = np.maximum(which, 0)
+    hit = (which >= 0) & (vas < ends[safe])
+    rows[:, 10] = hit
+    for s, level in enumerate(levels):
+        # entry_addr's first matching base, or None for a descriptor
+        # without this level.
+        bases = [next((base for lvl, base in d.level_bases if lvl == level),
+                      None) for d in descriptors]
+        has = np.array([base is not None for base in bases])
+        at = np.flatnonzero(hit & has[safe])
+        if not at.size:
+            continue
+        base = np.array([0 if base is None else base for base in bases],
+                        dtype=np.int64)
+        va = vas[at]
+        rows[at, 11 + s] = (base[safe[at]] + (va >> level_shift(level))
+                            * ENTRY_BYTES) >> 6
+        if hole_checker is not None:
+            rows[at, 15 + s] = hole_checker.mask(va, level)
 
 
 def _as_array(lst: list) -> np.ndarray:
@@ -1445,6 +1493,7 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     state = sim._columnar_paths
     if state is None:
         state = sim._columnar_paths = _PathTable()
+    state.begin_run()
 
     arrays = {
         "t_tags": _as_array(l1t.tags), "t_frames": _as_array(l1t.frames),

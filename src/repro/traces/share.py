@@ -1,22 +1,24 @@
-"""Zero-copy trace sharing across sweep worker processes.
+"""One generation per streamed trace axis, shared zero-copy.
 
 A streamed cell (``scale.trace_length > STREAM_RECORDS``) regenerates
-its trace chunk by chunk inside whichever process runs it.  That keeps
-one run's memory bounded, but a parallel sweep pays the generation cost
-``N`` times — once per worker that draws a cell of the same
-``(workload, records, seed)`` axis — and a 10M-record grid spends more
-time re-deriving identical chunks than simulating some of its cells.
+its trace chunk by chunk each time it reads it.  That keeps one run's
+memory bounded, but a cell reads its trace twice (first-touch
+population, then the record loop), and every cell of the same
+``(workload, records, seed)`` axis — in this process or in any pool
+worker — pays the generation again.
 
 The versioned trace store (:mod:`repro.traces.store`) already gives the
 fix: ``payload.npy`` is a plain ``.npy`` that opens as a read-only
-memory map.  The sweep engine calls :func:`prepare` before opening its
-process pool — each unique streamed axis is materialised **once** into
-the shared trace directory — and passes the resulting mapping to
-:func:`activate` as the pool's initializer.  Workers then resolve
-:func:`lookup` inside :func:`repro.sim.runner.make_trace` and replay
-the one on-disk payload as an :class:`~repro.traces.source.ArraySource`
-mmap: every worker shares the same page-cache copy, and no worker
-regenerates a byte.
+memory map.  Before the sweep engine executes its cold cells it enters
+:func:`materialized` — each unique streamed axis is materialised
+**once**, under ``<cache>/traces`` or, without a result cache, in a
+private directory removed when the batch ends — and installs the
+mapping with :func:`activate`: as the pool's initializer, or through
+:func:`activated` around inline execution.  :func:`lookup` inside
+:func:`repro.sim.runner.make_trace` then replays the one on-disk
+payload as an :class:`~repro.traces.source.ArraySource` mmap: every
+process shares the same page-cache copy, and nothing regenerates a
+byte.
 
 Correctness containment:
 
@@ -37,27 +39,21 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 #: Process-global overlay: ``(workload, records, seed) -> trace dir``.
-#: Empty in every process that is not a sweep worker.
+#: Empty outside a sweep's execution (pool workers or an inline batch).
 _OVERLAY: dict[tuple[str, int, int], str] = {}
 
 #: Subdirectory of the result-cache root holding shared traces.
 TRACES_SUBDIR = "traces"
 
 
-def _fallback_dir() -> Path:
-    return Path(tempfile.gettempdir()) / "repro-traces"
-
-
-def shared_trace_dir(cache_root: str | Path | None) -> Path:
-    """Where shared trace payloads live: under the result cache when
-    one is configured (same lifecycle as cached results), else a
-    per-machine temp directory."""
-    if cache_root:
-        return Path(cache_root) / TRACES_SUBDIR
-    return _fallback_dir()
+def shared_trace_dir(cache_root: str | Path) -> Path:
+    """Where shared trace payloads live under a result-cache root (same
+    lifecycle as the cached results)."""
+    return Path(cache_root) / TRACES_SUBDIR
 
 
 def _valid(path: Path, workload: str, records: int, seed: int) -> bool:
@@ -101,36 +97,72 @@ def _materialize(workload: str, records: int, seed: int,
         return None
 
 
-def prepare(jobs, cache_root: str | Path | None) -> dict:
-    """Materialise every unique streamed generated-trace axis in
-    ``jobs`` once; returns the overlay mapping for :func:`activate`.
-
-    Only jobs that would stream (records above the runner's
-    ``STREAM_RECORDS``) and generate their own trace participate;
-    explicitly trace-backed jobs (``job.trace``) already share their
-    payload, and small cells are cheaper to regenerate than to touch
-    disk for.
-    """
+def _streamed_axes(jobs) -> list[tuple[str, int, int]]:
+    """The unique ``(workload, records, seed)`` axes of ``jobs`` that
+    would stream (records above the runner's ``STREAM_RECORDS``) and
+    generate their own trace.  Explicitly trace-backed jobs
+    (``job.trace``) already share their payload, and small cells are
+    cheaper to regenerate than to touch disk for."""
     from repro.sim.runner import STREAM_RECORDS
 
-    mapping: dict[tuple[str, int, int], str] = {}
-    base = None
+    axes: dict[tuple[str, int, int], None] = {}
     for job in jobs:
         if getattr(job, "trace", None) is not None:
             continue
         scale = getattr(job, "scale", None)
         if scale is None or scale.trace_length <= STREAM_RECORDS:
             continue
-        key = (job.workload, scale.trace_length, scale.seed)
-        if key in mapping:
-            continue
-        if base is None:
-            base = shared_trace_dir(cache_root)
-            base.mkdir(parents=True, exist_ok=True)
-        path = _materialize(*key, base)
-        if path is not None:
-            mapping[key] = str(path)
+        axes[(job.workload, scale.trace_length, scale.seed)] = None
+    return list(axes)
+
+
+def prepare(jobs, cache_root: str | Path) -> dict:
+    """Materialise every unique streamed generated-trace axis in
+    ``jobs`` once under ``cache_root``; returns the overlay mapping for
+    :func:`activate`."""
+    mapping: dict[tuple[str, int, int], str] = {}
+    axes = _streamed_axes(jobs)
+    if axes:
+        base = shared_trace_dir(cache_root)
+        base.mkdir(parents=True, exist_ok=True)
+        for key in axes:
+            path = _materialize(*key, base)
+            if path is not None:
+                mapping[key] = str(path)
     return mapping
+
+
+@contextmanager
+def materialized(jobs, cache_root: str | Path | None):
+    """:func:`prepare` for the duration of a ``with`` block, yielding the
+    overlay mapping.
+
+    With a cache root the payloads stay under ``<cache>/traces`` for
+    later runs.  Without one they go to a private ``mkdtemp`` directory
+    that is removed when the block exits, so nothing outside the run can
+    plant or leave behind a payload it would replay.
+    """
+    private = None
+    if cache_root is None and _streamed_axes(jobs):
+        private = tempfile.mkdtemp(prefix="repro-traces-")
+        cache_root = private
+    try:
+        yield prepare(jobs, cache_root) if cache_root is not None else {}
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+
+
+@contextmanager
+def activated(mapping: dict):
+    """:func:`activate` ``mapping`` in this process for a ``with`` block,
+    restoring the previous overlay afterwards (inline execution)."""
+    previous = dict(_OVERLAY)
+    activate(mapping)
+    try:
+        yield
+    finally:
+        activate(previous)
 
 
 def activate(mapping: dict) -> None:

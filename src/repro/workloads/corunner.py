@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mem.cache import EMPTY, SetAssociativeCache
 from repro.mem.hierarchy import CacheHierarchy
 
 #: The co-runner's physical lines live far above any simulated allocation
@@ -24,6 +25,28 @@ from repro.mem.hierarchy import CacheHierarchy
 _CORUNNER_LINE_BASE = 1 << 38
 #: Its page table sits in a separate region.
 _CORUNNER_PT_BASE = 1 << 37
+
+
+def _fill_in_order(cache: SetAssociativeCache, lines: np.ndarray) -> None:
+    """The state ``cache.install`` of each distinct line of ``lines``, in
+    order, leaves in an empty ``cache``."""
+    assert not any(cache.sizes), "prefill needs an empty cache"
+    sets = lines % cache.num_sets
+    order = np.argsort(sets, kind="stable")
+    counts = np.bincount(sets, minlength=cache.num_sets)
+    # Rank of each line among its set's lines, counted from the newest
+    # (0 = the last installed = MRU); the oldest ranks past `ways` went.
+    first = np.cumsum(counts) - counts
+    rank = np.empty(lines.size, dtype=np.int64)
+    rank[order] = (counts[sets[order]] - 1
+                   - (np.arange(lines.size) - first[sets[order]]))
+    kept = rank < cache.ways
+    image = np.full(cache.num_sets * cache.stride, EMPTY, dtype=np.int64)
+    image[sets[kept] * cache.stride + rank[kept]] = lines[kept]
+    # In place: the hot loops hold references to these lists.
+    cache.lines[:] = image.tolist()
+    cache.sizes[:] = np.minimum(counts, cache.ways).tolist()
+    cache.stats.evictions += int(np.maximum(counts - cache.ways, 0).sum())
 
 
 class Corunner:
@@ -97,15 +120,17 @@ class Corunner:
         reach that state by replay, so colocated runs start from it: every
         cache level begins full of co-runner junk, which the application
         then has to displace — exactly the §4 colocation pressure.
+
+        The state is that of installing ``total`` evenly strided lines,
+        in order, into each (empty) cache level, computed in closed
+        form: each set keeps its last ``ways`` lines, MRU first, and
+        counts one eviction per line beyond that.
         """
         total = hierarchy.params.l3.lines + hierarchy.params.l2.lines
         step = max(1, self.footprint_lines // (total + 1))
-        line = _CORUNNER_LINE_BASE
-        for _ in range(total):
-            hierarchy.l1.install(line)
-            hierarchy.l2.install(line)
-            hierarchy.l3.install(line)
-            line += step
+        lines = _CORUNNER_LINE_BASE + step * np.arange(total, dtype=np.int64)
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            _fill_in_order(cache, lines)
 
     def step(self, hierarchy: CacheHierarchy, now: int) -> None:
         """One co-runner slot (data + walk lines) through the hierarchy."""

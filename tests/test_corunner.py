@@ -1,6 +1,9 @@
 """Unit tests for the SMT co-runner."""
 
+import pytest
+
 from repro.mem.hierarchy import CacheHierarchy
+from repro.params import CacheParams, HierarchyParams
 from repro.workloads.corunner import Corunner
 
 
@@ -95,3 +98,45 @@ def test_refill_merge_matches_scalar_reference():
             takes.append(2)
     assert fast._buffer == merged
     assert fast._takes == takes
+
+
+def _prefill_by_install(corunner: Corunner, hierarchy: CacheHierarchy):
+    """The per-line prefill the closed form replaced: every strided
+    co-runner line installed into each level, in order."""
+    from repro.workloads import corunner as m
+
+    total = hierarchy.params.l3.lines + hierarchy.params.l2.lines
+    step = max(1, corunner.footprint_lines // (total + 1))
+    line = m._CORUNNER_LINE_BASE
+    for _ in range(total):
+        hierarchy.l1.install(line)
+        hierarchy.l2.install(line)
+        hierarchy.l3.install(line)
+        line += step
+
+
+@pytest.mark.parametrize("params", [
+    None,
+    # Odd set counts and a footprint small enough that the stride is 1.
+    HierarchyParams(l1=CacheParams(3 * 64 * 4, 4, 4),
+                    l2=CacheParams(5 * 64 * 6, 6, 12),
+                    l3=CacheParams(7 * 64 * 3, 3, 40)),
+])
+@pytest.mark.parametrize("footprint", [16 << 30, 1 << 16])
+def test_prefill_matches_per_line_installs(params, footprint):
+    fast, slow = CacheHierarchy(params), CacheHierarchy(params)
+    corunner = Corunner(footprint_bytes=footprint, seed=3)
+    corunner.prefill(fast)
+    _prefill_by_install(corunner, slow)
+    for a, b in ((fast.l1, slow.l1), (fast.l2, slow.l2),
+                 (fast.l3, slow.l3)):
+        assert a.lines == b.lines
+        assert a.sizes == b.sizes
+        assert a.stats == b.stats
+
+
+def test_prefill_requires_empty_caches():
+    hierarchy = CacheHierarchy()
+    hierarchy.access_line(123)
+    with pytest.raises(AssertionError):
+        Corunner(seed=3).prefill(hierarchy)

@@ -1,23 +1,34 @@
-"""Zero-copy worker-trace sharing (`repro.traces.share`).
+"""Zero-copy trace sharing (`repro.traces.share`).
 
-The overlay must never change *what* a worker simulates — only how the
+The overlay must never change *what* a cell simulates — only how the
 trace bytes reach it.  These tests pin the prepare/activate/lookup
 round-trip, byte-identity of an overlay-fed run against plain
-generation, and the silent-fallback contract on every failure mode.
+generation, one generation per streamed axis through the engine, the
+run-scoped private directory of a cache-less run, and the
+silent-fallback contract on every failure mode.
 """
 
 from __future__ import annotations
 
+import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.runtime.job import NATIVE, Job
+from repro.experiments.common import SCHEMES
+from repro.runtime.engine import Engine
+from repro.runtime.job import NATIVE, Job, execute_job
 from repro.sim import runner
 from repro.sim.runner import Scale, run_native
-from repro.traces import share
+from repro.traces import share, store
+from repro.traces import stream as stream_mod
 from repro.traces.source import ArraySource
+from repro.traces.stream import chunk_seed, generation_chunks
+from repro.workloads.base import WorkloadSpec
 from repro.workloads.suite import get as get_workload
 
 STREAMED = 20_000  # > the lowered STREAM_RECORDS below
@@ -100,5 +111,88 @@ def test_prepare_failure_is_silent(tmp_path):
 def test_shared_trace_dir_prefers_cache_root(tmp_path):
     assert share.shared_trace_dir(tmp_path) == \
         tmp_path / share.TRACES_SUBDIR
-    fallback = share.shared_trace_dir(None)
-    assert fallback.name == "repro-traces"
+    # No shared per-machine fallback: without a cache root the engine
+    # materialises into a private, run-scoped directory instead.
+    assert not hasattr(share, "_fallback_dir")
+
+
+def _scheme_jobs(records: int = STREAMED, seed: int = 7) -> list[Job]:
+    """Two cells on one streamed axis (baseline and ASAP)."""
+    scale = Scale(trace_length=records, warmup=records // 5, seed=seed)
+    return [Job(kind=NATIVE, workload="mc80",
+                config=SCHEMES[name].native_config,
+                scheme=SCHEMES[name].spec, scale=scale)
+            for name in ("baseline", "asap")]
+
+
+def _count_generation(monkeypatch) -> Counter:
+    """Count generator calls per (workload, records, seed): one key per
+    generation chunk, since chunk i draws from chunk_seed(seed, i)."""
+    calls: Counter = Counter()
+    original = WorkloadSpec.generate_trace
+
+    def counted(self, length, seed=0):
+        calls[(self.name, length, seed)] += 1
+        return original(self, length, seed=seed)
+
+    monkeypatch.setattr(WorkloadSpec, "generate_trace", counted)
+    return calls
+
+
+def test_inline_engine_generates_each_chunk_once(monkeypatch):
+    # Several generation chunks per trace, so "once" is per chunk.
+    monkeypatch.setattr(stream_mod, "GEN_CHUNK_RECORDS", 8_192)
+    jobs = _scheme_jobs()
+    chunks = {("mc80", stop - start, chunk_seed(7, index))
+              for index, start, stop in generation_chunks(STREAMED)}
+    assert len(chunks) == 3
+
+    calls = _count_generation(monkeypatch)
+    per_cell = {job: execute_job(job) for job in jobs}
+    # Per-cell generation: populate and the record loop, per cell.
+    assert calls == {key: 4 for key in chunks}
+
+    calls.clear()
+    shared = Engine(jobs=1, cache=None).run_jobs(jobs)
+    assert calls == {key: 1 for key in chunks}
+    assert shared == per_cell
+    assert share._OVERLAY == {}
+
+
+def test_cacheless_run_ignores_planted_payload_and_cleans_up(
+        tmp_path, monkeypatch):
+    """A payload at the old shared /tmp location is never read, and a
+    run without a cache leaves no trace directory behind."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    job = _job()
+    planted = tmp_path / "repro-traces" / f"mc80-{STREAMED}-7"
+    # Header fields of the right axis over another seed's records.
+    store.materialize_trace(get_workload("mc80"), STREAMED, 8, planted)
+    header_path = planted / "header.json"
+    header = json.loads(header_path.read_text())
+    header["seed"] = 7
+    header_path.write_text(json.dumps(header))
+    expected = execute_job(job)
+
+    opened = []
+    original = store.open_trace
+
+    def spied(path):
+        opened.append(Path(path).resolve())
+        return original(path)
+
+    monkeypatch.setattr(store, "open_trace", spied)
+    result = Engine(jobs=1, cache=None).run_jobs([job])[job]
+    assert result == expected
+    assert opened and planted.resolve() not in opened
+    assert all(path.is_relative_to(tmp_path.resolve()) for path in opened)
+    assert [path.name for path in tmp_path.iterdir()] == ["repro-traces"]
+
+
+def test_cached_run_keeps_traces_under_the_cache(tmp_path):
+    from repro.runtime.cache import ResultCache
+
+    job = _job()
+    Engine(jobs=1, cache=ResultCache(tmp_path)).run_jobs([job])
+    assert share._valid(tmp_path / share.TRACES_SUBDIR
+                        / f"mc80-{STREAMED}-7", "mc80", STREAMED, 7)
