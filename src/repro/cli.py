@@ -10,7 +10,7 @@ Commands
 * ``scaling``                  — translation-fraction convergence vs scale
 * ``trace materialize|info|hash`` — on-disk streaming traces
 * ``sweep [--only NAME ...]``  — every experiment as one parallel batch
-* ``report [--fast|--incremental]`` — regenerate everything
+* ``report [--only NAME ...]`` — regenerate the changed EXPERIMENTS.md sections
 * ``serve``                    — long-lived daemon draining the job queue
 * ``submit | status | cancel`` — service clients for the queue
 * ``obs summary|timeline|export|dashboard|validate`` — run telemetry
@@ -20,7 +20,8 @@ Parallelism and caching
 -----------------------
 ``experiment``, ``sweep`` and ``report`` all accept ``--jobs N`` (fan the
 job grid out over N worker processes), ``--cache-dir DIR`` and
-``--no-cache`` (on-disk result cache keyed by job spec and code version).
+``--no-cache`` (on-disk result cache keyed by job spec and code version;
+``report`` stores its section models there, so it refuses ``--no-cache``).
 Results are identical for any ``--jobs`` value: every job seeds its own
 randomness from its spec.
 
@@ -82,6 +83,19 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--priority", type=int, default=0,
                         help="queue priority when routed through the "
                              "service (default: 0; higher runs first)")
+
+
+def _add_scale_options(parser: argparse.ArgumentParser) -> None:
+    """The grid-selection flags of ``sweep``/``report``/``submit``; read
+    back by :func:`_sweep_scale`."""
+    parser.add_argument("--only", action="append", default=None,
+                        metavar="NAME",
+                        help="limit to one experiment (repeatable), "
+                             "e.g. --only fig8 --only table2")
+    parser.add_argument("--fast", action="store_true",
+                        help="reduced scale (quick smoke pass)")
+    parser.add_argument("--trace-length", type=positive_int, default=None)
+    parser.add_argument("--seed", type=int, default=42)
 
 
 def _cmd_list(_args) -> int:
@@ -250,8 +264,9 @@ def _cmd_trace(args) -> int:
 
 
 def _sweep_scale(args) -> Scale:
-    """The sweep/submit scale from ``--fast``/``--trace-length``/``--seed``
-    (shared so a submitted grid hashes identically to the sweep's)."""
+    """The sweep/report/submit scale from ``--fast``/``--trace-length``/
+    ``--seed`` (shared so a submitted grid hashes identically to the
+    sweep's and the report's)."""
     import dataclasses
 
     from repro.experiments.common import DEFAULT_SCALE
@@ -278,51 +293,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.experiments import report
-
-    if args.incremental:
-        return _cmd_report_incremental(args)
-    if args.only:
-        print("error: --only needs --incremental (the classic report "
-              "is always the full document)", file=sys.stderr)
-        return 2
-    argv = ["--fast"] if args.fast else []
-    if args.trace_length:
-        argv += ["--trace-length", str(args.trace_length)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    argv += ["--jobs", str(args.jobs), "--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.progress:
-        argv.append("--progress")
-    if args.obs:
-        argv.append("--obs")
-    if args.obs_dir:
-        argv += ["--obs-dir", args.obs_dir]
-    return report.main(argv)
-
-
-def _cmd_report_incremental(args) -> int:
-    import dataclasses
-
-    from repro.experiments.common import DEFAULT_SCALE
     from repro.service.reporter import IncrementalReporter
 
-    engine = _engine_from(args)
-    if engine.cache is None:
-        print("error: --incremental needs the result cache "
-              "(drop --no-cache)", file=sys.stderr)
+    if args.no_cache:
+        print("error: report keeps its section models in the result "
+              "cache; drop --no-cache, or print the same tables with "
+              "`repro sweep --no-cache`", file=sys.stderr)
         return 2
-    scale = DEFAULT_SCALE.smaller(4) if args.fast else DEFAULT_SCALE
-    if args.trace_length:
-        scale = dataclasses.replace(scale, trace_length=args.trace_length,
-                                    warmup=args.trace_length // 5)
-    if args.seed is not None:
-        scale = dataclasses.replace(scale, seed=args.seed)
+    engine = _engine_from(args)
     reporter = IncrementalReporter(engine.cache)
     try:
-        update = reporter.update(scale, engine, only=args.only)
+        update = reporter.update(_sweep_scale(args), engine, only=args.only)
     except ValueError as error:  # unknown --only section
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -636,30 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="run every experiment as one parallel batch")
-    sweep.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
-                       help="limit to one experiment (repeatable), "
-                            "e.g. --only fig8 --only table2")
-    sweep.add_argument("--fast", action="store_true",
-                       help="reduced scale (quick smoke pass)")
-    sweep.add_argument("--trace-length", type=positive_int, default=None)
-    sweep.add_argument("--seed", type=int, default=42)
+    _add_scale_options(sweep)
     _add_engine_options(sweep)
 
-    rep = sub.add_parser("report", help="regenerate everything")
-    rep.add_argument("--fast", action="store_true")
-    rep.add_argument("--trace-length", type=positive_int, default=None)
-    rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--incremental", action="store_true",
-                     help="regenerate only the sections whose cached "
-                          "cells changed (repro.service.reporter)")
-    rep.add_argument("--only", action="append", default=None,
-                     metavar="NAME",
-                     help="with --incremental: restrict the pass to "
-                          "these sections (repeatable, e.g. fig8)")
+    rep = sub.add_parser(
+        "report", help="regenerate the EXPERIMENTS.md sections whose "
+                       "cached cells changed")
+    _add_scale_options(rep)
     rep.add_argument("--output", default=None, metavar="FILE",
-                     help="with --incremental: where to write the "
-                          "assembled EXPERIMENTS.md (default: "
+                     help="where to write the assembled EXPERIMENTS.md "
+                          "(default: "
                           "<cache-dir>/service/report/EXPERIMENTS.md)")
     _add_engine_options(rep)
 
@@ -690,18 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="event log directory "
                             "(default: <cache-dir>/obs)")
 
-    def _scale_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
-                       help="limit to one experiment (repeatable)")
-        p.add_argument("--fast", action="store_true",
-                       help="reduced scale (quick smoke pass)")
-        p.add_argument("--trace-length", type=positive_int, default=None)
-        p.add_argument("--seed", type=int, default=42)
-
     submit = sub.add_parser(
         "submit", help="enqueue experiment cells without waiting")
-    _scale_options(submit)
+    _add_scale_options(submit)
     submit.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         help="cache directory whose queue to submit to "
                              f"(default: {DEFAULT_CACHE_DIR})")

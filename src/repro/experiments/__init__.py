@@ -4,8 +4,10 @@ Each module exposes ``jobs(scale)`` (its grid as declarative
 :class:`~repro.runtime.job.Job` specs), ``tables(results, scale)`` and
 ``run(scale=None, engine=None)`` returning one or more
 :class:`~repro.stats.tables.Table` objects (the structured cell model
-shared with the service layer) that render in the paper's layout.  ``repro.experiments.report`` regenerates everything;
-``python -m repro sweep`` batches all grids through one engine call.
+shared with the service layer) that render in the paper's layout.
+``repro.experiments.report`` holds the registry of all of them:
+``python -m repro sweep`` batches every grid through one engine call and
+``python -m repro report`` assembles EXPERIMENTS.md from it.
 
 Paper cross-references: Tables 1/2 and Figures 2/3 (§1-2 motivation),
 Figures 8-10 (§5.1-5.2 ASAP ladders), Table 6 (§5.3 projection),

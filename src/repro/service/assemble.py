@@ -6,9 +6,9 @@ command-line entry point) so the incremental reporter
 document through the *same* code path — parity between them is
 structural, not coincidental.
 
-The raw report text is what ``python -m repro.experiments.report`` (or a
-sweep) prints: rendered tables separated by ``[{section}: {N}s]`` timing
-lines.  :func:`build` splices each measured table into the
+The raw report text is what the incremental reporter writes as
+``experiments_raw.txt``: rendered tables separated by
+``[{section}: {N}s]`` timing lines.  :func:`build` splices each measured table into the
 paper-vs-measured commentary of :data:`SECTIONS`; the timing lines are
 stripped, so two raw inputs with identical tables but different timings
 assemble to byte-identical documents.

@@ -190,7 +190,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             return path.read_text()
         except OSError:
             return (f"{name} not generated yet; run "
-                    f"`repro report --incremental` or submit a sweep.\n")
+                    f"`repro report` or submit a sweep.\n")
 
     def report_markdown(self) -> str:
         return self._report_file("EXPERIMENTS.md")

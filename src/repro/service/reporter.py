@@ -22,10 +22,10 @@ endpoint (``/tables`` serves the models directly) and a live
 
 Parity is structural, not asserted: the assembled document goes through
 :func:`repro.service.assemble.build` — the same code path as
-``tools/build_experiments_md.py`` — and the raw text reproduces the
-``generate()`` section format, so a fully-incremental pass and a full
-rebuild emit byte-identical documents (the timing separator lines are
-stripped by the assembler).  A pass restricted with ``--only`` updates
+``tools/build_experiments_md.py`` — and the raw text uses one section
+format (tables, then a ``[{section}: {N}s]`` timing line), so a
+fully-incremental pass and a full rebuild emit byte-identical documents
+(the timing separator lines are stripped by the assembler).  A pass restricted with ``--only`` updates
 its selected sections and merges every other section's stored model
 into the written document, so a partial refresh never degrades
 EXPERIMENTS.md to placeholders.
@@ -71,7 +71,7 @@ def _model_digest(payloads: list[dict[str, Any]]) -> str:
 
 
 def _render_section(payloads: list[dict[str, Any]]) -> str:
-    """A stored cell model back to ``generate()``-format section text."""
+    """A stored cell model back to raw-report section text."""
     rendered: list[str] = []
     for payload in payloads:
         rendered.append(Table.from_payload(payload).render())
@@ -97,8 +97,9 @@ def section_signature(jobs: list[Job], cache: ResultCache) -> str | None:
 class ReportUpdate:
     """Outcome of one incremental pass.
 
-    ``raw`` covers the *selected* sections (the parity contract with a
-    full ``generate()`` pass over the same selection); ``sections``
+    ``raw`` covers the *selected* sections (the parity contract with
+    :meth:`IncrementalReporter.full_raw_equivalent` over the same
+    selection); ``sections``
     maps each selected section's name to its rendered text so
     :meth:`IncrementalReporter.write_outputs` can merge unselected
     sections' stored models into the published document.

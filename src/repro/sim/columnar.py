@@ -1,10 +1,10 @@
-"""Columnar chunk kernel: the scalar fast sweep recast as a C loop.
+"""Columnar chunk kernel: the scalar record loop recast as a C loop.
 
-The scalar simulator already spends almost all of its time in
-``_fast_native_sweep`` — a pure function of the flat-array TLB/PWC/cache
-state plus the page table's translation for each VPN.  This module
-compiles an exact transliteration of that sweep (via cffi's ABI mode and
-the system C compiler) and drives it one TraceSource chunk at a time:
+The plain pipeline of ``NativeSimulation.run``'s record loop (no scheme
+hooks) is a pure function of the flat-array TLB/PWC/cache state plus
+the page table's translation for each VPN.  This module compiles an
+exact transliteration of that pipeline (via cffi's ABI mode and the
+system C compiler) and drives it one TraceSource chunk at a time:
 
 * Python precomputes, per chunk, a *path row* for every distinct VPN —
   the page-table node cache lines the walker would touch, the three PWC
@@ -20,7 +20,7 @@ the system C compiler) and drives it one TraceSource chunk at a time:
 Byte-identity with the scalar path is a hard invariant (the scalar
 kernel is the differential oracle; see tests/test_columnar_differential
 and ARCHITECTURE.md §12).  The kernel engages in one of three modes —
-``plain`` (no scheme hooks; the original fast-sweep configuration),
+``plain`` (no scheme hooks),
 ``asap`` (the only hook is an AsapPrefetcher's walk-start: the
 prefetch issue/completion state machine is compiled into the chunk
 loop, with the range-register outcome, per-level target lines and hole
@@ -189,7 +189,7 @@ static void lru_promote(i64 *tags, i64 *frames, i64 base, i64 pos)
 
 /* Install a known-absent entry at MRU, shifting the rest down (the LRU
    victim falls off the segment end when the set is full — discarded,
-   exactly like the scalar fast path's inlined fills). */
+   exactly like the scalar structures' own fills). */
 static void lru_install(i64 *tags, i64 *frames, i64 *sizes,
                         i64 set_index, i64 base, i64 ways,
                         i64 tag, i64 frame)
@@ -1077,14 +1077,15 @@ def _asap_pages_aligned(sim: "NativeSimulation", prefetcher) -> bool:
     return True
 
 
-def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
+def engine_mode(sim: "NativeSimulation", plain: bool) -> str | None:
     """Which compiled kernel mode (if any) can replay this run().
 
-    Returns ``"plain"`` for the hook-free fast-sweep configuration
-    (``fast_ok``), ``"asap"`` when the only hook is an AsapPrefetcher's
-    ``on_tlb_miss`` walk-start whose hole checker is ``None`` or answers
-    in bulk through ``mask``, ``"victima"`` when the hooks are exactly a
-    Victima scheme's probe + L2-TLB-eviction park pair, and ``None``
+    Returns ``"plain"`` for the hook-free pipeline (``plain``, computed
+    by ``NativeSimulation.run``), ``"asap"`` when the only hook is an
+    AsapPrefetcher's ``on_tlb_miss`` walk-start whose hole checker is
+    ``None`` or answers in bulk through ``mask``, ``"victima"`` when the
+    hooks are exactly a Victima scheme's probe + L2-TLB-eviction park
+    pair, and ``None``
     otherwise (Revelator, co-runner and custom-hook cells — a per-VA
     hole checker included — stay on the scalar loop).  All modes
     additionally need power-of-two set counts and a compiled backend.
@@ -1092,10 +1093,10 @@ def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
     the merge branch.
     """
     mode = None
-    if fast_ok:
+    if plain:
         mode = "plain"
     else:
-        # Structural preconditions shared with fast_ok, minus the hooks.
+        # Structural preconditions shared with plain, minus the hooks.
         tlbs = sim.tlbs
         if (sim.corunner is not None or tlbs.infinite
                 or sim.clustered_tlb or len(sim.pwc.view) != 3):

@@ -21,11 +21,10 @@ Two context-switch policies are modelled:
   TLB/PWC tag (:data:`repro.tlb.tlb.ASID_SHIFT`), and tenants compete
   for TLB/PWC/cache capacity instead.
 
-Scheduling composes with the PR 3 fast path by construction: each
+Scheduling composes with the batched record loop by construction: each
 quantum is one ``run()`` call on the active tenant's simulator, so the
-batched run detection (and, for plain baseline tenants, the fully
-inlined sweep) operates on exactly the per-quantum trace slices — the
-batch split lands precisely on the switch boundary.  With one tenant
+batched run detection operates on exactly the per-quantum trace slices
+— the batch split lands precisely on the switch boundary.  With one tenant
 and no switching, the whole machinery reduces to a single ``run()``
 over shared-but-singly-owned structures, and the results are
 byte-identical to the single-tenant path (pinned by

@@ -37,14 +37,14 @@ from repro.mem.hierarchy import CacheHierarchy
 from repro.obs.probe import SimProbe
 from repro.pagetable.constants import level_shift
 from repro.pagetable.pwc import SplitPwc
-from repro.pagetable.walker import PWC_LABEL, PageWalker, WalkOutcome
+from repro.pagetable.walker import PageWalker, WalkOutcome
 from repro.params import DEFAULT_MACHINE, MachineParams
 from repro.schemes import SchemeSpec, build_scheme
 from repro.sim.order import streaming_first_touch_order
 from repro.sim.stats import SimStats
 from repro.traces.source import iter_trace_chunks
 from repro.tlb.hierarchy import TlbHierarchy
-from repro.tlb.tlb import EMPTY, asid_bias
+from repro.tlb.tlb import asid_bias
 from repro.workloads.corunner import Corunner
 
 
@@ -159,14 +159,13 @@ class NativeSimulation:
         self.corunner = corunner
         self.asid = asid
         self.kernel = kernel
-        #: Per-vpn flattened walk paths (general loop / inlined sweep).
+        #: Per-vpn flattened walk paths of the record loop in :meth:`run`.
         #: Instance state so a run can be split into scheduler quanta
         #: without re-flattening, and so ``flush_translation_state`` can
         #: clear them coherently with the hardware structures.
         self._flat_paths: dict[int, tuple] = {}
-        self._fast_paths: dict[int, tuple] = {}
-        #: The columnar kernel's path-row cache (same role as the two
-        #: dicts above, owned by `repro.sim.columnar`); lazily built.
+        #: The columnar kernel's path-row cache (same role as the dict
+        #: above, owned by `repro.sim.columnar`); lazily built.
         self._columnar_paths = None
         #: Set by AsapScheme.bind_native for introspection/back-compat.
         self.prefetcher: AsapPrefetcher | None = None
@@ -199,7 +198,6 @@ class NativeSimulation:
         tenants after flushing the shared hardware once through the
         active one."""
         self._flat_paths.clear()
-        self._fast_paths.clear()
         if self._columnar_paths is not None:
             self._columnar_paths.clear()
         self.scheme.on_translation_flush()
@@ -226,452 +224,6 @@ class NativeSimulation:
                 assert frame is not None
                 self.tlbs.fill(int(vpn), frame)
         return faults
-
-    # ------------------------------------------------------------------
-    def _fast_native_sweep(
-        self,
-        addresses: list[int],
-        warmup: int,
-        collect_service: bool,
-        stats: SimStats,
-        carry: tuple,
-    ) -> tuple:
-        """The fully inlined record loop for the plain-pipeline case.
-
-        Preconditions (checked by :meth:`run` before dispatching here):
-        no scheme hooks, no L2-TLB evict hook, no co-runner, plain
-        (non-clustered, finite) TLBs, a three-level PWC (4-level page
-        table) and a chunk without same-block repeats.  That is exactly
-        the baseline-radix configuration every figure sweep runs most,
-        so this path pays for no generality at all: the L1 TLB probe,
-        L2 S-TLB probe, PWC probe/insert, TLB fills and the MRU case of
-        the cache access run inline on the flat arrays, and every shared
-        counter is accumulated locally and flushed once at the end.
-
-        ``addresses``/``warmup`` are chunk-local (the caller has already
-        subtracted the global offset); ``carry`` is the run-wide loop
-        state ``(now, measuring, acc, data_c, walk_c, walk_count,
-        tlb_l1_base, tlb_l2_base)`` threaded through chunk after chunk
-        and returned updated, so a chunk seam is invisible to the clock,
-        the warmup baselines and every accumulator.
-
-        It must remain *byte-equivalent* to the general loop in
-        :meth:`run` — same stats, same final structure state.  The
-        golden-parity suites (tests/test_fast_path.py,
-        tests/test_traces.py) pin both paths and every chunking.
-        """
-        tlbs = self.tlbs
-        l1t = tlbs.l1
-        t_tags, t_frames, t_sizes = l1t.tags, l1t.frames, l1t.sizes
-        t_stride, t_nsets = l1t.stride, l1t.num_sets
-        l1_refill = l1t.fill
-        probe_large = tlbs.probe_large[0]
-        t_ways = l1t.ways
-        u = tlbs.l2_plain
-        u_tags, u_frames, u_sizes = u.tags, u.frames, u.sizes
-        u_stride, u_nsets, u_ways = u.stride, u.num_sets, u.ways
-        hierarchy = self.hierarchy
-        access = hierarchy.access
-        last_level = hierarchy.last_level
-        c1 = hierarchy.l1
-        c1_lines = c1.lines
-        c1_stats = c1.stats
-        c1_nsets, c1_stride = c1.num_sets, c1.stride
-        lat1 = hierarchy.latency_of("L1")
-        served = hierarchy.served
-        walker = self.walker
-        pwc = self.pwc
-        pwc_latency = pwc.params.latency
-        (_, p2), (_, p3), (_, p4) = pwc.view
-        p2_tags, p2_frames, p2_sizes = p2.tags, p2.frames, p2.sizes
-        p2_stride, p2_nsets, p2_ways = p2.stride, p2.num_sets, p2.ways
-        p3_tags, p3_frames, p3_sizes = p3.tags, p3.frames, p3.sizes
-        p3_stride, p3_nsets, p3_ways = p3.stride, p3.num_sets, p3.ways
-        p4_tags, p4_frames, p4_sizes = p4.tags, p4.frames, p4.sizes
-        p4_stride, p4_nsets, p4_ways = p4.stride, p4.num_sets, p4.ways
-        s2, s3, s4 = (level_shift(level) for level, _ in pwc.view)
-        flat_walk = self.process.flat_walk
-        flat_paths = self._fast_paths
-        #: ASID bias, hoisted: constant for the whole sweep (one OR per
-        #: record; 0 in single-tenant runs leaves every tag unchanged).
-        vbias = asid_bias(self.asid)
-        base_cycles = self.machine.core.base_cycles
-        record_service = stats.service.record_walk
-
-        # Counters mirrored locally; initialised from (and flushed back
-        # to) their owners so the observable end state matches the
-        # general loop exactly.
-        th, tm = tlbs.stats.hits, tlbs.stats.misses
-        l1h, l2h = tlbs.l1_hits, tlbs.l2_hits
-        ls_hits, ls_misses = l1t.stats.hits, l1t.stats.misses
-        us_hits, us_misses = u.stats.hits, u.stats.misses
-        pwc_probes, pwc_hits = pwc.probes, pwc.hits
-        p2_h, p2_m = p2.stats.hits, p2.stats.misses
-        p3_h, p3_m = p3.stats.hits, p3.stats.misses
-        p4_h, p4_m = p4.stats.hits, p4.stats.misses
-        walker_walks = walker.walks
-        walker_cycles = walker.total_latency
-        c1_mru = 0
-        # Run-wide loop state, carried across chunks (see docstring).
-        # The measurement baselines were snapshotted by :meth:`run` at
-        # run start (current shared counters, not zero — a multi-tenant
-        # segment must measure only its window) or at the warmup
-        # boundary, whichever came last.
-        (now, measuring, acc, data_c, walk_c, walk_count,
-         tlb_l1_base, tlb_l2_base) = carry
-
-        for index, va in enumerate(addresses):
-            if not measuring and index >= warmup:
-                measuring = True
-                tlb_l1_base = l1h
-                tlb_l2_base = l2h
-            vpn = (va >> 12) | vbias
-            translation = 0
-            # --- L1 D-TLB probe, small then (optional) large tag -----
-            tag = vpn << 1
-            set_index = tag % t_nsets
-            base = set_index * t_stride
-            frame = None
-            if t_tags[base] == tag:
-                ls_hits += 1
-                th += 1
-                l1h += 1
-                frame = t_frames[base]
-            else:
-                limit = base + t_sizes[set_index]
-                t_tags[limit] = tag
-                pos = t_tags.index(tag, base)
-                t_tags[limit] = EMPTY
-                if pos != limit:
-                    ls_hits += 1
-                    frame = t_frames[pos]
-                    t_tags[base + 1:pos + 1] = t_tags[base:pos]
-                    t_tags[base] = tag
-                    t_frames[base + 1:pos + 1] = t_frames[base:pos]
-                    t_frames[base] = frame
-                    th += 1
-                    l1h += 1
-                else:
-                    ls_misses += 1
-                    if probe_large:
-                        tag = ((vpn >> 9) << 1) | 1
-                        set_index = tag % t_nsets
-                        base = set_index * t_stride
-                        limit = base + t_sizes[set_index]
-                        t_tags[limit] = tag
-                        pos = t_tags.index(tag, base)
-                        t_tags[limit] = EMPTY
-                        if pos != limit:
-                            ls_hits += 1
-                            frame = t_frames[pos]
-                            if pos != base:
-                                t_tags[base + 1:pos + 1] = t_tags[base:pos]
-                                t_tags[base] = tag
-                                t_frames[base + 1:pos + 1] = \
-                                    t_frames[base:pos]
-                                t_frames[base] = frame
-                            th += 1
-                            l1h += 1
-                        else:
-                            ls_misses += 1
-            if frame is None:
-                # --- L2 S-TLB probe, small then (optional) large tag -
-                tag = vpn << 1
-                set_index = tag % u_nsets
-                base = set_index * u_stride
-                limit = base + u_sizes[set_index]
-                u_tags[limit] = tag
-                pos = u_tags.index(tag, base)
-                u_tags[limit] = EMPTY
-                if pos != limit:
-                    us_hits += 1
-                    frame = u_frames[pos]
-                    if pos != base:
-                        u_tags[base + 1:pos + 1] = u_tags[base:pos]
-                        u_tags[base] = tag
-                        u_frames[base + 1:pos + 1] = u_frames[base:pos]
-                        u_frames[base] = frame
-                else:
-                    us_misses += 1
-                    if probe_large:
-                        tag = ((vpn >> 9) << 1) | 1
-                        set_index = tag % u_nsets
-                        base = set_index * u_stride
-                        limit = base + u_sizes[set_index]
-                        u_tags[limit] = tag
-                        pos = u_tags.index(tag, base)
-                        u_tags[limit] = EMPTY
-                        if pos != limit:
-                            us_hits += 1
-                            frame = u_frames[pos]
-                            if pos != base:
-                                u_tags[base + 1:pos + 1] = u_tags[base:pos]
-                                u_tags[base] = tag
-                                u_frames[base + 1:pos + 1] = \
-                                    u_frames[base:pos]
-                                u_frames[base] = frame
-                        else:
-                            us_misses += 1
-                if frame is not None:
-                    th += 1
-                    l2h += 1
-                    l1_refill(vpn << 1, frame)
-                else:
-                    tm += 1
-                    # --- page walk (flat-path cache) -----------------
-                    flat = flat_paths.get(vpn)
-                    if flat is None:
-                        lines, levels, pframe, leaf_level = flat_walk(va)
-                        flat = (lines, levels, (va >> s2) | vbias,
-                                (va >> s3) | vbias, (va >> s4) | vbias,
-                                leaf_level, pframe, leaf_level >= 2)
-                        flat_paths[vpn] = flat
-                    (lines, levels, tg2, tg3, tg4, leaf_level, frame,
-                     large) = flat
-                    t = now + pwc_latency
-                    pwc_probes += 1
-                    records = [] if collect_service else None
-                    # PWC probe: PL2, then PL3, then PL4.
-                    skip_from = 0
-                    set_index = tg2 % p2_nsets
-                    base = set_index * p2_stride
-                    if p2_tags[base] == tg2:
-                        p2_h += 1
-                        pwc_hits += 1
-                        skip_from = 2
-                    else:
-                        limit = base + p2_sizes[set_index]
-                        p2_tags[limit] = tg2
-                        pos = p2_tags.index(tg2, base)
-                        p2_tags[limit] = EMPTY
-                        if pos != limit:
-                            p2_h += 1
-                            value = p2_frames[pos]
-                            p2_tags[base + 1:pos + 1] = p2_tags[base:pos]
-                            p2_tags[base] = tg2
-                            p2_frames[base + 1:pos + 1] = p2_frames[base:pos]
-                            p2_frames[base] = value
-                            pwc_hits += 1
-                            skip_from = 2
-                        else:
-                            p2_m += 1
-                            set_index = tg3 % p3_nsets
-                            base = set_index * p3_stride
-                            if p3_tags[base] == tg3:
-                                p3_h += 1
-                                pwc_hits += 1
-                                skip_from = 3
-                            else:
-                                limit = base + p3_sizes[set_index]
-                                p3_tags[limit] = tg3
-                                pos = p3_tags.index(tg3, base)
-                                p3_tags[limit] = EMPTY
-                                if pos != limit:
-                                    p3_h += 1
-                                    value = p3_frames[pos]
-                                    p3_tags[base + 1:pos + 1] = \
-                                        p3_tags[base:pos]
-                                    p3_tags[base] = tg3
-                                    p3_frames[base + 1:pos + 1] = \
-                                        p3_frames[base:pos]
-                                    p3_frames[base] = value
-                                    pwc_hits += 1
-                                    skip_from = 3
-                                else:
-                                    p3_m += 1
-                                    set_index = tg4 % p4_nsets
-                                    base = set_index * p4_stride
-                                    if p4_tags[base] == tg4:
-                                        p4_h += 1
-                                        pwc_hits += 1
-                                        skip_from = 4
-                                    else:
-                                        limit = base + p4_sizes[set_index]
-                                        p4_tags[limit] = tg4
-                                        pos = p4_tags.index(tg4, base)
-                                        p4_tags[limit] = EMPTY
-                                        if pos != limit:
-                                            p4_h += 1
-                                            value = p4_frames[pos]
-                                            p4_tags[base + 1:pos + 1] = \
-                                                p4_tags[base:pos]
-                                            p4_tags[base] = tg4
-                                            p4_frames[base + 1:pos + 1] = \
-                                                p4_frames[base:pos]
-                                            p4_frames[base] = value
-                                            pwc_hits += 1
-                                            skip_from = 4
-                                        else:
-                                            p4_m += 1
-                    # Steps the PWC skipped: levels is (4, 3, 2[, 1])
-                    # root-first, so the skipped prefix length is
-                    # 5 - skip_from, never exceeding the step count.
-                    if skip_from:
-                        start = 5 - skip_from
-                        if records is not None:
-                            for i in range(start):
-                                records.append((levels[i], PWC_LABEL))
-                    else:
-                        start = 0
-                    for i in range(start, len(lines)):
-                        line = lines[i]
-                        cache_base = (line % c1_nsets) * c1_stride
-                        if c1_lines[cache_base] == line:
-                            c1_mru += 1
-                            if records is not None:
-                                records.append((levels[i], "L1"))
-                            t += lat1
-                        else:
-                            latency = access(line, t)
-                            if records is not None:
-                                records.append((levels[i], last_level[0]))
-                            t += latency
-                    # PWC insert for the levels above the leaf.
-                    if leaf_level == 1:
-                        set_index = tg2 % p2_nsets
-                        base = set_index * p2_stride
-                        if p2_tags[base] == tg2:
-                            p2_frames[base] = 1
-                        else:
-                            size = p2_sizes[set_index]
-                            limit = base + size
-                            p2_tags[limit] = tg2
-                            pos = p2_tags.index(tg2, base)
-                            p2_tags[limit] = EMPTY
-                            if pos != limit:
-                                p2_tags[base + 1:pos + 1] = p2_tags[base:pos]
-                                p2_frames[base + 1:pos + 1] = \
-                                    p2_frames[base:pos]
-                            elif size >= p2_ways:
-                                last = base + p2_ways - 1
-                                p2_tags[base + 1:last + 1] = p2_tags[base:last]
-                                p2_frames[base + 1:last + 1] = \
-                                    p2_frames[base:last]
-                            else:
-                                p2_tags[base + 1:limit + 1] = \
-                                    p2_tags[base:limit]
-                                p2_frames[base + 1:limit + 1] = \
-                                    p2_frames[base:limit]
-                                p2_sizes[set_index] = size + 1
-                            p2_tags[base] = tg2
-                            p2_frames[base] = 1
-                    set_index = tg3 % p3_nsets
-                    base = set_index * p3_stride
-                    if p3_tags[base] == tg3:
-                        p3_frames[base] = 1
-                    else:
-                        size = p3_sizes[set_index]
-                        limit = base + size
-                        p3_tags[limit] = tg3
-                        pos = p3_tags.index(tg3, base)
-                        p3_tags[limit] = EMPTY
-                        if pos != limit:
-                            p3_tags[base + 1:pos + 1] = p3_tags[base:pos]
-                            p3_frames[base + 1:pos + 1] = p3_frames[base:pos]
-                        elif size >= p3_ways:
-                            last = base + p3_ways - 1
-                            p3_tags[base + 1:last + 1] = p3_tags[base:last]
-                            p3_frames[base + 1:last + 1] = p3_frames[base:last]
-                        else:
-                            p3_tags[base + 1:limit + 1] = p3_tags[base:limit]
-                            p3_frames[base + 1:limit + 1] = \
-                                p3_frames[base:limit]
-                            p3_sizes[set_index] = size + 1
-                        p3_tags[base] = tg3
-                        p3_frames[base] = 1
-                    set_index = tg4 % p4_nsets
-                    base = set_index * p4_stride
-                    if p4_tags[base] == tg4:
-                        p4_frames[base] = 1
-                    else:
-                        size = p4_sizes[set_index]
-                        limit = base + size
-                        p4_tags[limit] = tg4
-                        pos = p4_tags.index(tg4, base)
-                        p4_tags[limit] = EMPTY
-                        if pos != limit:
-                            p4_tags[base + 1:pos + 1] = p4_tags[base:pos]
-                            p4_frames[base + 1:pos + 1] = p4_frames[base:pos]
-                        elif size >= p4_ways:
-                            last = base + p4_ways - 1
-                            p4_tags[base + 1:last + 1] = p4_tags[base:last]
-                            p4_frames[base + 1:last + 1] = p4_frames[base:last]
-                        else:
-                            p4_tags[base + 1:limit + 1] = p4_tags[base:limit]
-                            p4_frames[base + 1:limit + 1] = \
-                                p4_frames[base:limit]
-                            p4_sizes[set_index] = size + 1
-                        p4_tags[base] = tg4
-                        p4_frames[base] = 1
-                    translation = t - now
-                    walker_walks += 1
-                    walker_cycles += translation
-                    # TLB fill (known absent after the full miss).
-                    if large:
-                        tlbs.fill(vpn, frame, large=True)
-                    else:
-                        tag = vpn << 1
-                        set_index = tag % t_nsets
-                        base = set_index * t_stride
-                        size = t_sizes[set_index]
-                        if size >= t_ways:
-                            last = base + t_ways - 1
-                            t_tags[base + 1:last + 1] = t_tags[base:last]
-                            t_frames[base + 1:last + 1] = t_frames[base:last]
-                        else:
-                            limit = base + size
-                            t_tags[base + 1:limit + 1] = t_tags[base:limit]
-                            t_frames[base + 1:limit + 1] = t_frames[base:limit]
-                            t_sizes[set_index] = size + 1
-                        t_tags[base] = tag
-                        t_frames[base] = frame
-                        set_index = tag % u_nsets
-                        base = set_index * u_stride
-                        size = u_sizes[set_index]
-                        if size >= u_ways:
-                            last = base + u_ways - 1
-                            u_tags[base + 1:last + 1] = u_tags[base:last]
-                            u_frames[base + 1:last + 1] = u_frames[base:last]
-                        else:
-                            limit = base + size
-                            u_tags[base + 1:limit + 1] = u_tags[base:limit]
-                            u_frames[base + 1:limit + 1] = u_frames[base:limit]
-                            u_sizes[set_index] = size + 1
-                        u_tags[base] = tag
-                        u_frames[base] = frame
-                    if measuring:
-                        walk_c += translation
-                        walk_count += 1
-                        if collect_service:
-                            record_service(records)
-            # --- data access ----------------------------------------
-            line = (frame << 6) | ((va & 0xFFF) >> 6)
-            cache_base = (line % c1_nsets) * c1_stride
-            if c1_lines[cache_base] == line:
-                c1_mru += 1
-                data_latency = lat1
-            else:
-                data_latency = access(line, now + translation)
-            now += base_cycles + translation + data_latency
-            if measuring:
-                acc += 1
-                data_c += data_latency
-
-        # Flush the local counters back to their owners.
-        tlbs.stats.hits, tlbs.stats.misses = th, tm
-        tlbs.l1_hits, tlbs.l2_hits = l1h, l2h
-        l1t.stats.hits, l1t.stats.misses = ls_hits, ls_misses
-        u.stats.hits, u.stats.misses = us_hits, us_misses
-        pwc.probes, pwc.hits = pwc_probes, pwc_hits
-        p2.stats.hits, p2.stats.misses = p2_h, p2_m
-        p3.stats.hits, p3.stats.misses = p3_h, p3_m
-        p4.stats.hits, p4.stats.misses = p4_h, p4_m
-        walker.walks = walker_walks
-        walker.total_latency = walker_cycles
-        c1_stats.hits += c1_mru
-        served["L1"] += c1_mru
-        return (now, measuring, acc, data_c, walk_c, walk_count,
-                tlb_l1_base, tlb_l2_base)
 
     # ------------------------------------------------------------------
     def run(
@@ -887,13 +439,6 @@ class NativeSimulation:
         bulk_ok = corunner is None
         bulk_tlb = tlbs.bulk_hits
         bulk_l1 = hierarchy.bulk_l1_hits
-        #: Static fast-sweep preconditions (per-chunk dispatch adds only
-        #: the no-repeats check); see _fast_native_sweep's docstring.
-        fast_ok = (bulk_ok and probe is None and walk_start is None
-                   and walk_end is None and fill_hook is None
-                   and tlbs.l2_evict_hook is None
-                   and not tlbs.infinite and not clustered
-                   and len(self.pwc.view) == 3)
         #: The execution-chunk stream; under observation it is re-cut at
         #: the warmup boundary and sample intervals (chunking-invariant,
         #: so statistics are unchanged — pinned by tests/test_traces.py).
@@ -902,69 +447,73 @@ class NativeSimulation:
             chunk_stream = obs.chunks(iter_trace_chunks(trace))
         else:
             chunk_stream = iter_trace_chunks(trace)
+        mode = None
         if self.kernel == "columnar":
             from repro.sim import columnar as _columnar
 
-            mode = _columnar.engine_mode(self, fast_ok)
-            if mode is not None:
-                # Whole-chunk C engine (byte-identical to the loop
-                # below; see repro.sim.columnar).  Covers the fast-sweep
-                # configuration plus the compiled ASAP and Victima
-                # state machines; falls back to scalar otherwise.
+            #: The hook-free pipeline: the kernel's ``"plain"`` mode.
+            plain = (bulk_ok and probe is None and walk_start is None
+                     and walk_end is None and fill_hook is None
+                     and tlbs.l2_evict_hook is None
+                     and not tlbs.infinite and not clustered
+                     and len(self.pwc.view) == 3)
+            mode = _columnar.engine_mode(self, plain)
+        if mode is not None:
+            # Whole-chunk C engine (byte-identical to the loop below; see
+            # repro.sim.columnar).  Covers the plain pipeline plus the
+            # compiled ASAP and Victima state machines; every other
+            # configuration runs the loop below.
+            (now, measuring, acc, data_c, walk_c, walk_count,
+             tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
+                self, chunk_stream, warmup,
+                collect_service, stats,
                 (now, measuring, acc, data_c, walk_c, walk_count,
-                 tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
-                    self, chunk_stream, warmup,
-                    collect_service, stats,
-                    (now, measuring, acc, data_c, walk_c, walk_count,
-                     tlb_l1_base, tlb_l2_base), obs_probe=obs,
-                    mode=mode)
-                stats.accesses = acc
-                stats.base_cycles = acc * base_cycles
-                stats.data_cycles = data_c
-                stats.walk_cycles = walk_c
-                stats.walks = walk_count
-                stats.cycles = acc * base_cycles + data_c + walk_c
-                stats.tlb_l1_hits = tlbs.l1_hits - tlb_l1_base
-                stats.tlb_l2_hits = tlbs.l2_hits - tlb_l2_base
-                scheme.finalize(stats)
-                if obs is not None:
-                    obs.run_end(stats)
-                return stats
-        #: Run-detection seam state: the cache-line block and (biased)
-        #: vpn of the previous chunk's last record.  A chunk whose first
-        #: record shares that block continues the carried run, and its
-        #: head records are repeats — bulk-costed exactly as the
-        #: monolithic loop would have costed them.
-        prev_block = -1
-        prev_vpn = 0
-        # The loop allocates only short-lived tuples and the per-page
-        # flat paths; pausing the cyclic collector for its duration saves
-        # pointless generation-0 scans (restored even on error).
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for chunk in chunk_stream:
-                n_records = len(chunk)
-                if not n_records:
-                    continue
-                addresses = chunk.tolist()
-                run_starts, run_counts = detect_runs(chunk, n_records)
-                lead = 0
-                if prev_block == addresses[0] >> 6:
-                    lead = run_counts[0]
-                    run_starts = run_starts[1:]
-                    run_counts = run_counts[1:]
-                    if bulk_ok:
-                        bulk(prev_vpn, 0, lead)
-                    else:
-                        # Co-runner present: repeats replay through the
-                        # scalar pipeline, seam or no seam.
-                        for index in range(lead):
+                 tlb_l1_base, tlb_l2_base), obs_probe=obs,
+                mode=mode)
+        else:
+            #: Run-detection seam state: the cache-line block and
+            #: (biased) vpn of the previous chunk's last record.  A chunk
+            #: whose first record shares that block continues the carried
+            #: run, and its head records are repeats — bulk-costed exactly
+            #: as the monolithic loop would have costed them.
+            prev_block = -1
+            prev_vpn = 0
+            # The loop allocates only short-lived tuples and the per-page
+            # flat paths; pausing the cyclic collector for its duration
+            # saves pointless generation-0 scans (restored even on error).
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for chunk in chunk_stream:
+                    n_records = len(chunk)
+                    if not n_records:
+                        continue
+                    addresses = chunk.tolist()
+                    run_starts, run_counts = detect_runs(chunk, n_records)
+                    lead = 0
+                    if prev_block == addresses[0] >> 6:
+                        lead = run_counts[0]
+                        run_starts = run_starts[1:]
+                        run_counts = run_counts[1:]
+                        if bulk_ok:
+                            bulk(prev_vpn, 0, lead)
+                        else:
+                            # Co-runner present: repeats replay through
+                            # the scalar pipeline, seam or no seam.
+                            for index in range(lead):
+                                handle(index)
+                    prev_block = addresses[-1] >> 6
+                    prev_vpn = (addresses[-1] >> 12) | vbias
+                    if bulk_ok and len(run_starts) == n_records - lead:
+                        # No same-block repeats in the chunk: scalar sweep.
+                        for index in range(lead, n_records):
                             handle(index)
-                prev_block = addresses[-1] >> 6
-                prev_vpn = (addresses[-1] >> 12) | vbias
-                if not run_starts:
+                    else:
+                        drive_batched(run_starts, run_counts, handle, bulk,
+                                      scalar_only=not bulk_ok)
                     chunk_base += n_records
+                    # Counter owners are current here: every path above
+                    # updates them per record or per run.
                     if obs is not None:
                         obs.sample(chunk_base, now=now, accesses=acc,
                                    data_cycles=data_c, walk_cycles=walk_c,
@@ -972,40 +521,9 @@ class NativeSimulation:
                                    tlb_l1_hits=tlbs.l1_hits,
                                    tlb_l2_hits=tlbs.l2_hits,
                                    tlb_misses=tlbs.stats.misses)
-                    continue
-                if fast_ok and len(run_starts) == n_records - lead:
-                    # The plain-pipeline case: hand the chunk's remaining
-                    # records to the fully inlined sweep
-                    # (byte-equivalent; see its docstring).
-                    local = addresses[lead:] if lead else addresses
-                    local_warmup = min(max(warmup - chunk_base - lead, 0),
-                                       len(local))
-                    (now, measuring, acc, data_c, walk_c, walk_count,
-                     tlb_l1_base, tlb_l2_base) = self._fast_native_sweep(
-                        local, local_warmup, collect_service, stats,
-                        (now, measuring, acc, data_c, walk_c, walk_count,
-                         tlb_l1_base, tlb_l2_base))
-                elif bulk_ok and len(run_starts) == n_records - lead:
-                    # No same-block repeats in the chunk: scalar sweep.
-                    for index in range(lead, n_records):
-                        handle(index)
-                else:
-                    drive_batched(run_starts, run_counts, handle, bulk,
-                                  scalar_only=not bulk_ok)
-                chunk_base += n_records
-                # Counter owners are current here: the scalar paths
-                # update them per record and the fast sweep flushes its
-                # mirrors before returning.
-                if obs is not None:
-                    obs.sample(chunk_base, now=now, accesses=acc,
-                               data_cycles=data_c, walk_cycles=walk_c,
-                               walks=walk_count,
-                               tlb_l1_hits=tlbs.l1_hits,
-                               tlb_l2_hits=tlbs.l2_hits,
-                               tlb_misses=tlbs.stats.misses)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
         stats.accesses = acc
         stats.base_cycles = acc * base_cycles
         stats.data_cycles = data_c

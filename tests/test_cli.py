@@ -131,3 +131,16 @@ def test_scaling_command_generated(capsys):
     out = capsys.readouterr().out
     assert "convergence" in out
     assert "asap_reduction" in out
+
+
+def test_report_command_is_incremental(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    output = tmp_path / "EXPERIMENTS.md"
+    argv = ["report", "--only", "table2", "--trace-length", "1200",
+            "--cache-dir", cache]
+    assert main(argv + ["--output", str(output)]) == 0
+    assert "Table 2:" in output.read_text()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "0 section(s) rebuilt, 1 reused" in capsys.readouterr().out
+    assert main(argv + ["--no-cache"]) == 2

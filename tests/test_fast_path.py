@@ -6,8 +6,8 @@ stood before the array/batched hot-path rewrite (PR 2 tree, commit
 all four schemes, native and virtualized, clustered/infinite TLBs,
 warmup boundaries (including mid-streak), co-runner colocation and
 synthetic same-page streaks — must reproduce those SimStats exactly,
-whichever of the three execution paths (fully inlined sweep, batched
-run loop, scalar fallback) it lands on.  Any drift here means the hot
+whichever of the two execution paths (batched run loop, scalar
+per-record sweep) it lands on.  Any drift here means the hot
 path changed behaviour, not just speed.
 """
 
@@ -464,51 +464,6 @@ class TestTinyTraces:
         assert stats.accesses == 0
         assert stats.cycles == 0
         assert stats.walks == 0
-
-
-class TestPathDispatch:
-    """The right execution path runs for the right configuration."""
-
-    def test_plain_baseline_uses_fast_sweep(self, ntrace, monkeypatch):
-        sim = native_sim()
-        called = []
-        original = sim._fast_native_sweep
-
-        def spy(*args, **kwargs):
-            called.append(True)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "_fast_native_sweep", spy)
-        sim.run(ntrace, warmup=1000, init_order=SPEC.init_order)
-        assert called, "plain baseline run must take the inlined sweep"
-
-    def test_corunner_disables_fast_sweep(self, ntrace, monkeypatch):
-        sim = native_sim(coloc=True)
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("co-runner run must stay scalar")
-
-        monkeypatch.setattr(sim, "_fast_native_sweep", forbidden)
-        sim.run(ntrace[:2000], warmup=400, init_order=SPEC.init_order)
-
-    def test_streaks_disable_fast_sweep(self, ntrace, monkeypatch):
-        sim = native_sim()
-        streaky = np.repeat(ntrace[:500], 4)
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("streaky traces go through the run loop")
-
-        monkeypatch.setattr(sim, "_fast_native_sweep", forbidden)
-        sim.run(streaky, warmup=400, init_order=SPEC.init_order)
-
-    def test_scheme_hooks_disable_fast_sweep(self, ntrace, monkeypatch):
-        sim = native_sim(scheme=SchemeSpec.victima())
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("scheme hooks must use the general loop")
-
-        monkeypatch.setattr(sim, "_fast_native_sweep", forbidden)
-        sim.run(ntrace[:2000], warmup=400, init_order=SPEC.init_order)
 
 
 class TestServiceParity:

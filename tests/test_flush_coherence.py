@@ -61,7 +61,7 @@ class TestNativeFlush:
         assert sim.tlbs.l1.occupancy > 0
         assert sum(sim.pwc.occupancy(level)
                    for level, _ in sim.pwc.view) > 0
-        assert sim._fast_paths or sim._flat_paths
+        assert sim._flat_paths
 
         sim.flush_translation_state()
 
@@ -69,7 +69,7 @@ class TestNativeFlush:
         assert _tlb_state(sim.tlbs) == _tlb_state(cold.tlbs)
         assert _pwc_state(sim.pwc) == _pwc_state(cold.pwc)
         assert sim.hierarchy.mshrs.occupancy == 0
-        assert not sim._flat_paths and not sim._fast_paths
+        assert not sim._flat_paths
 
     def test_tlb_flush_alone_is_incoherent(self):
         """Documents the hazard the entry point fixes: the old flush
@@ -80,7 +80,7 @@ class TestNativeFlush:
         sim.tlbs.flush()
         assert sum(sim.pwc.occupancy(level)
                    for level, _ in sim.pwc.view) > 0
-        assert sim._fast_paths or sim._flat_paths
+        assert sim._flat_paths
 
     def test_continuation_after_flush_rewalks_every_page(self):
         trace = make_trace(SPEC, NSCALE)

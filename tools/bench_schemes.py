@@ -20,9 +20,9 @@ and whatever comes next.  Three things are tracked:
   scale, so hot-path regressions show up as a diff in the checked-in
   trajectory;
 * **dispatch overhead** — the ``BaselineRadix`` row is the scheme
-  layer's price over a scheme-less loop (and, since PR 3, the fully
-  inlined fast sweep); this row moving is the first sign the hot path
-  grew a per-record cost;
+  layer's price over a scheme-less run of the generic record loop (its
+  early entries also include a since-deleted inlined sweep); this row
+  moving is the first sign the hot path grew a per-record cost;
 * **regressions in CI** — ``--check-against`` reruns the benchmark (CI
   uses a reduced ``--trace-length``) and fails if any scheme is slower
   than the reference entry by more than ``--threshold`` (default

@@ -5,9 +5,10 @@ Usage::
 
     python tools/build_experiments_md.py [RAW] [--output PATH] [--check]
 
-RAW is the raw report text produced by ``python -m repro.experiments.report``
-or ``python -m repro sweep`` (default: ``docs/experiments_raw.txt``, which
-is checked in so this script is reproducible offline).  This script splices
+RAW is the raw report text written by ``python -m repro report`` (its
+``experiments_raw.txt``) or printed by ``python -m repro sweep`` (default:
+``docs/experiments_raw.txt``, which is checked in so this script is
+reproducible offline).  This script splices
 each measured table into the paper-vs-measured commentary below.
 
 ``--check`` rebuilds the document in memory and exits non-zero if it
@@ -17,9 +18,9 @@ are resolved relative to the repository root, so the script works from any
 working directory.
 
 The assembly itself (section commentary, table splicing) lives in
-``repro.service.assemble`` so the incremental reporter (``repro report
---incremental``, the service daemon's HTTP endpoint) and this one-shot
-tool produce the document through the same code path.
+``repro.service.assemble`` so the incremental reporter (``repro report``,
+the service daemon's HTTP endpoint) and this one-shot tool produce the
+document through the same code path.
 """
 
 from __future__ import annotations
