@@ -63,7 +63,9 @@ class VirtualMachine:
             self.host_asap_layout.register_vma(self.host_vma)
         self.back_guest_pt_contiguously = back_guest_pt_contiguously
         self.hpt = RadixPageTable(4, node_placer=self._place_host_node)
-        self._host_chain_cache: dict[int, tuple[tuple[WalkStep, ...], int]] = {}
+        #: Flat host 1D walk per guest-physical page: gframe ->
+        #: ``(lines, levels, leaf_level, page_hpa)`` (see :meth:`host_chain`).
+        self._host_chains: dict[int, tuple] = {}
         self._backed_ranges: list[tuple[int, int]] = []  # (gframe, count)
         if back_guest_pt_contiguously and guest.asap_layout is not None:
             # Regions already registered before the VM existed (e.g. the
@@ -126,10 +128,27 @@ class VirtualMachine:
         """Map [gframe, gframe+count) to contiguous host frames."""
         if self.host_page_level == 1:
             hbase = self.host_buddy.reserve_contiguous(count)
-            for i in range(count):
-                if self.hpt.lookup((gframe + i) << c.PAGE_SHIFT) is None:
-                    self.hpt.map_page((gframe + i) << c.PAGE_SHIFT,
-                                      hbase + i, 1)
+            offset = hbase - gframe
+            pages, large = self.hpt.leaf_maps()
+            end = gframe + count
+            span = gframe
+            while span < end:
+                # One span per hPT PL1 node.  Its first unmapped page goes
+                # through map_page (creating nodes, hence placing host PT
+                # frames, in per-page order); the rest are leaf installs
+                # into the now-present node, in ascending order.
+                span_end = min(((span >> c.LEVEL_BITS) + 1) << c.LEVEL_BITS,
+                               end)
+                if span >> c.LEVEL_BITS not in large:
+                    todo = [page for page in range(span, span_end)
+                            if page not in pages]
+                    if todo:
+                        first = todo[0]
+                        self.hpt.map_page(first << c.PAGE_SHIFT,
+                                          first + offset, 1)
+                        pages.update((page, page + offset)
+                                     for page in todo[1:])
+                span = span_end
         else:
             first_large = gframe >> c.LEVEL_BITS
             last_large = (gframe + count - 1) >> c.LEVEL_BITS
@@ -155,39 +174,92 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     # 2D walk paths
     # ------------------------------------------------------------------
-    def _host_chain(self, gpa: int) -> tuple[tuple[WalkStep, ...], int]:
-        """Host 1D walk steps for ``gpa``'s page, plus the page's hPA base."""
-        page = gpa >> c.PAGE_SHIFT
-        cached = self._host_chain_cache.get(page)
-        if cached is None:
+    def host_chain(self, gframe: int) -> tuple:
+        """Flat host 1D walk for guest-physical page ``gframe``:
+        ``(lines, levels, leaf_level, page_hpa)`` from
+        :meth:`RadixPageTable.flat_walk`, mapping the page lazily on first
+        use.  Cached per page — the hPT never remaps a backed page."""
+        chain = self._host_chains.get(gframe)
+        if chain is None:
+            gpa = gframe << c.PAGE_SHIFT
             self.translate_gpa(gpa)
-            hpath = self.hpt.walk_path(gpa)
-            cached = (hpath.steps, hpath.frame << c.PAGE_SHIFT)
-            self._host_chain_cache[page] = cached
-        return cached
+            lines, levels, frame, leaf_level = self.hpt.flat_walk(gpa)
+            chain = (lines, levels, leaf_level, frame << c.PAGE_SHIFT)
+            self._host_chains[gframe] = chain
+        return chain
+
+    def flat_nested_path(
+        self,
+        va: int,
+        guest_shifts: tuple[int, ...] = (),
+        host_shifts: tuple[int, ...] = (),
+        bias: int = 0,
+    ) -> tuple:
+        """The Figure 7 schedule for ``va`` in the flat form
+        :meth:`NestedPageWalker.walk_flat` prices::
+
+            (guest_tags, guest_leaf_level, data_frame, large, steps)
+
+        with one ``(host_tags, host_lines, host_levels, host_leaf_level,
+        gpa, entry_line, guest_level)`` tuple per guest step, root first,
+        the data translation last (``entry_line`` −1, ``guest_level`` 0).
+        PWC tags are ``(addr >> shift) | bias`` per shift — pass the
+        walker's ``guest_shifts``/``host_shifts`` and the run's ASID bias.
+        Entry gPAs come straight from the guest's node maps, host chains
+        from :meth:`host_chain`.
+        """
+        entries, glevels, gframe, guest_leaf = \
+            self.guest.page_table.flat_entries(va)
+        host_chain = self.host_chain
+        steps = []
+        for gpa, glevel in zip(entries, glevels):
+            lines, levels, host_leaf, page_hpa = host_chain(
+                gpa >> c.PAGE_SHIFT)
+            steps.append((
+                tuple((gpa >> shift) | bias for shift in host_shifts),
+                lines, levels, host_leaf, gpa,
+                (page_hpa | (gpa & (c.PAGE_SIZE - 1))) >> c.LINE_SHIFT,
+                glevel,
+            ))
+        data_gpa = (gframe << c.PAGE_SHIFT) | (va & (c.PAGE_SIZE - 1))
+        lines, levels, host_leaf, page_hpa = host_chain(gframe)
+        steps.append((
+            tuple((data_gpa >> shift) | bias for shift in host_shifts),
+            lines, levels, host_leaf, data_gpa, -1, 0,
+        ))
+        return (
+            tuple((va >> shift) | bias for shift in guest_shifts),
+            guest_leaf,
+            page_hpa >> c.PAGE_SHIFT,
+            guest_leaf >= 2,
+            tuple(steps),
+        )
 
     def nested_path(self, va: int) -> NestedWalkPath:
-        gpath = self.guest.walk_path(va)
+        """:meth:`flat_nested_path` as step objects (entry byte addresses
+        rebuilt from the lines: PT nodes are page aligned, so an entry's
+        low six bits are its gPA's / its index's)."""
+        _tags, guest_leaf, frame, _large, flat_steps = \
+            self.flat_nested_path(va)
         steps = []
-        for gstep in gpath.steps:
-            host_steps, page_hpa = self._host_chain(gstep.entry_addr)
-            entry_hpa = page_hpa | (gstep.entry_addr & (c.PAGE_SIZE - 1))
-            steps.append(
-                NestedStep(guest_level=gstep.level, gpa=gstep.entry_addr,
-                           host_steps=host_steps, entry_host_addr=entry_hpa)
+        for _htags, lines, levels, _leaf, gpa, entry_line, glevel \
+                in flat_steps:
+            host_steps = tuple(
+                WalkStep(level, (line << c.LINE_SHIFT)
+                         | ((gpa >> c.level_shift(level)) & 7)
+                         * c.ENTRY_BYTES)
+                for line, level in zip(lines, levels)
             )
-        data_gpa = (gpath.frame << c.PAGE_SHIFT) | (va & (c.PAGE_SIZE - 1))
-        host_steps, page_hpa = self._host_chain(data_gpa)
-        steps.append(
-            NestedStep(guest_level=0, gpa=data_gpa, host_steps=host_steps,
-                       entry_host_addr=None)
-        )
-        data_hpa = page_hpa | (va & (c.PAGE_SIZE - 1))
+            steps.append(NestedStep(
+                guest_level=glevel, gpa=gpa, host_steps=host_steps,
+                entry_host_addr=None if entry_line < 0
+                else (entry_line << c.LINE_SHIFT) | (gpa & 63),
+            ))
         return NestedWalkPath(
             va=va,
             steps=tuple(steps),
-            data_host_addr=data_hpa,
-            guest_leaf_level=gpath.leaf_level,
+            data_host_addr=(frame << c.PAGE_SHIFT) | (va & (c.PAGE_SIZE - 1)),
+            guest_leaf_level=guest_leaf,
             host_leaf_level=self.host_page_level,
         )
 

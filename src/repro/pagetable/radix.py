@@ -215,17 +215,12 @@ class RadixPageTable:
 
     def walk_path(self, va: int) -> WalkPath:
         """The walk for a *mapped* address; raises PageFault otherwise."""
-        hit = self.lookup(va)
-        if hit is None:
-            raise PageFault(f"no translation for {va:#x}")
-        frame, leaf_level = hit
-        steps = []
-        for level in range(self.levels, leaf_level - 1, -1):
-            addr = self.entry_addr(va, level)
-            assert addr is not None, "mapped page lost an interior node"
-            steps.append(WalkStep(level, addr))
-        return WalkPath(va=va, steps=tuple(steps), frame=frame,
-                        leaf_level=leaf_level)
+        addrs, levels, frame, leaf_level = self.flat_entries(va)
+        return WalkPath(
+            va=va,
+            steps=tuple(WalkStep(level, addr)
+                        for addr, level in zip(addrs, levels)),
+            frame=frame, leaf_level=leaf_level)
 
     def flat_walk(
         self, va: int
@@ -254,6 +249,34 @@ class RadixPageTable:
             levels.append(level)
             shift -= c.LEVEL_BITS
         return tuple(lines), tuple(levels), frame, leaf_level
+
+    def flat_entries(
+        self, va: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """The walk as flat tuples: ``(entry_addrs, levels, frame,
+        leaf_level)``, root first — the physical byte address of the
+        entry read at each level.  :meth:`walk_path` is a view of it;
+        the nested-path builder needs the guest entries' full
+        (guest-physical) addresses to translate them through the host
+        page table.  (:meth:`flat_walk` repeats the loop for lines: it
+        is the native walk's per-page hot path.)  Raises PageFault for
+        unmapped addresses.
+        """
+        hit = self.lookup(va)
+        if hit is None:
+            raise PageFault(f"no translation for {va:#x}")
+        frame, leaf_level = hit
+        by_level = self._nodes_by_level
+        addrs = []
+        levels = []
+        shift = c.PAGE_SHIFT + c.LEVEL_BITS * (self.levels - 1)
+        for level in range(self.levels, leaf_level - 1, -1):
+            # entry_addr unfolded: node base + index * entry size.
+            base = by_level[level][va >> (shift + c.LEVEL_BITS)]
+            addrs.append(base + ((va >> shift) & 511) * 8)
+            levels.append(level)
+            shift -= c.LEVEL_BITS
+        return tuple(addrs), tuple(levels), frame, leaf_level
 
     def fault_path(self, va: int) -> FaultPath:
         """The truncated walk for an *unmapped* address (§3.7.1)."""

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.mem.hierarchy import CacheHierarchy
+from repro.pagetable.constants import level_shift
 from repro.pagetable.pwc import SplitPwc
 from repro.pagetable.radix import FaultPath, WalkPath
+from repro.tlb.tlb import EMPTY
 
 #: Label used in service records for levels skipped via the PWC.
 PWC_LABEL = "PWC"
@@ -34,6 +36,99 @@ class WalkOutcome:
     records: list[tuple[int, str]] = field(default_factory=list)
     faulted: bool = False
     prefetched_levels: tuple[int, ...] = ()
+
+
+def pwc_shifts(pwc: SplitPwc) -> tuple[int, ...]:
+    """Tag shift per :attr:`SplitPwc.view` entry: ``(addr >> shift) |
+    bias`` per shift is the tag tuple :func:`flat_pwc` takes."""
+    return tuple(level_shift(level) for level, _ in pwc.view)
+
+
+def flat_pwc(pwc: SplitPwc):
+    """``(probe, insert)`` closures over ``pwc``'s flat per-level arrays.
+
+    ``probe(tags) -> level | None`` and ``insert(tags, leaf_level)`` take
+    one precomputed tag per :attr:`SplitPwc.view` entry (deepest level
+    first, ASID bias already ORed in) and behave exactly like
+    :meth:`SplitPwc.probe` / :meth:`SplitPwc.insert` — same probe order,
+    LRU movement and counters — without recomputing tags or going
+    through :class:`~repro.tlb.tlb.Tlb` method calls.  This is the one
+    copy of the inline PWC both walkers' flat paths use.
+    """
+    #: (level, tags, frames, sizes, stride, num_sets, ways, stats)
+    #: per PWC level, probe order (deepest first).
+    level_views = tuple(
+        (level, tlb.tags, tlb.frames, tlb.sizes, tlb.stride,
+         tlb.num_sets, tlb.ways, tlb.stats)
+        for level, tlb in pwc.view
+    )
+
+    def probe(tags):
+        # Deepest cached level wins.
+        pwc.probes += 1
+        view_index = 0
+        for (level, vtags, vframes, vsizes, vstride, vnsets, _ways,
+             vstats) in level_views:
+            tag = tags[view_index]
+            view_index += 1
+            set_index = tag % vnsets
+            base = set_index * vstride
+            if vtags[base] == tag:
+                # MRU shortcut: hit in place.
+                vstats.hits += 1
+                pwc.hits += 1
+                return level
+            limit = base + vsizes[set_index]
+            vtags[limit] = tag
+            pos = vtags.index(tag, base)
+            vtags[limit] = EMPTY
+            if pos != limit:
+                vstats.hits += 1
+                frame = vframes[pos]
+                vtags[base + 1:pos + 1] = vtags[base:pos]
+                vtags[base] = tag
+                vframes[base + 1:pos + 1] = vframes[base:pos]
+                vframes[base] = frame
+                pwc.hits += 1
+                return level
+            vstats.misses += 1
+        return None
+
+    def insert(tags, leaf_level):
+        # Cache the intermediate entries the walk produced.
+        view_index = 0
+        for (level, vtags, vframes, vsizes, vstride, vnsets, vways,
+             _vstats) in level_views:
+            tag = tags[view_index]
+            view_index += 1
+            if level <= leaf_level:
+                continue
+            set_index = tag % vnsets
+            base = set_index * vstride
+            if vtags[base] == tag:
+                # Already MRU: refresh the (constant) payload only.
+                vframes[base] = 1
+                continue
+            size = vsizes[set_index]
+            limit = base + size
+            vtags[limit] = tag
+            pos = vtags.index(tag, base)
+            vtags[limit] = EMPTY
+            if pos != limit:
+                vtags[base + 1:pos + 1] = vtags[base:pos]
+                vframes[base + 1:pos + 1] = vframes[base:pos]
+            elif size >= vways:
+                last = base + vways - 1
+                vtags[base + 1:last + 1] = vtags[base:last]
+                vframes[base + 1:last + 1] = vframes[base:last]
+            else:
+                vtags[base + 1:limit + 1] = vtags[base:limit]
+                vframes[base + 1:limit + 1] = vframes[base:limit]
+                vsizes[set_index] = size + 1
+            vtags[base] = tag
+            vframes[base] = 1
+
+    return probe, insert
 
 
 class PageWalker:
@@ -102,58 +197,20 @@ class PageWalker:
         :attr:`SplitPwc.view` entry — so repeat walks skip path
         reconstruction entirely.  Semantics match :meth:`walk` exactly
         (PWC probe order, overlap rule, every stats counter), but the PWC
-        probe and insert run inline on the per-level flat arrays and
-        ``records`` is appended to only when the caller needs service
-        records, keeping the measurement-off path allocation-free.
+        probe and insert run on the per-level flat arrays
+        (:func:`flat_pwc`) and ``records`` is appended to only when the
+        caller needs service records, keeping the measurement-off path
+        allocation-free.
         """
-        from repro.tlb.tlb import EMPTY
-
-        pwc = self.pwc
-        pwc_latency = pwc.params.latency
-        #: (level, tags, frames, sizes, stride, num_sets, ways, stats)
-        #: per PWC level, probe order (deepest first).
-        level_views = tuple(
-            (level, tlb.tags, tlb.frames, tlb.sizes, tlb.stride,
-             tlb.num_sets, tlb.ways, tlb.stats)
-            for level, tlb in pwc.view
-        )
+        pwc_probe, pwc_insert = flat_pwc(self.pwc)
+        pwc_latency = self.pwc.params.latency
         access = self.hierarchy.access
         last_level = self.hierarchy.last_level
 
         def walk_flat(lines, levels, pwc_tags, leaf_level, now,
                       prefetches, records):
-            # --- PWC probe: deepest cached level wins -----------------
             t = now + pwc_latency
-            pwc.probes += 1
-            skip_from = None
-            view_index = 0
-            for (level, vtags, vframes, vsizes, vstride, vnsets, _ways,
-                 vstats) in level_views:
-                tag = pwc_tags[view_index]
-                view_index += 1
-                set_index = tag % vnsets
-                base = set_index * vstride
-                if vtags[base] == tag:
-                    # MRU shortcut: hit in place.
-                    vstats.hits += 1
-                    pwc.hits += 1
-                    skip_from = level
-                    break
-                limit = base + vsizes[set_index]
-                vtags[limit] = tag
-                pos = vtags.index(tag, base)
-                vtags[limit] = EMPTY
-                if pos != limit:
-                    vstats.hits += 1
-                    frame = vframes[pos]
-                    vtags[base + 1:pos + 1] = vtags[base:pos]
-                    vtags[base] = tag
-                    vframes[base + 1:pos + 1] = vframes[base:pos]
-                    vframes[base] = frame
-                    pwc.hits += 1
-                    skip_from = level
-                    break
-                vstats.misses += 1
+            skip_from = pwc_probe(pwc_tags)
             # --- steps the PWC could not skip -------------------------
             n = len(lines)
             start = 0
@@ -176,38 +233,7 @@ class PageWalker:
                     if records is not None:
                         records.append((levels[i], last_level[0]))
                     t = finish
-            # --- PWC insert: cache the produced intermediate entries --
-            view_index = 0
-            for (level, vtags, vframes, vsizes, vstride, vnsets, vways,
-                 _vstats) in level_views:
-                tag = pwc_tags[view_index]
-                view_index += 1
-                if level <= leaf_level:
-                    continue
-                set_index = tag % vnsets
-                base = set_index * vstride
-                if vtags[base] == tag:
-                    # Already MRU: refresh the (constant) payload only.
-                    vframes[base] = 1
-                    continue
-                size = vsizes[set_index]
-                limit = base + size
-                vtags[limit] = tag
-                pos = vtags.index(tag, base)
-                vtags[limit] = EMPTY
-                if pos != limit:
-                    vtags[base + 1:pos + 1] = vtags[base:pos]
-                    vframes[base + 1:pos + 1] = vframes[base:pos]
-                elif size >= vways:
-                    last = base + vways - 1
-                    vtags[base + 1:last + 1] = vtags[base:last]
-                    vframes[base + 1:last + 1] = vframes[base:last]
-                else:
-                    vtags[base + 1:limit + 1] = vtags[base:limit]
-                    vframes[base + 1:limit + 1] = vframes[base:limit]
-                    vsizes[set_index] = size + 1
-                vtags[base] = tag
-                vframes[base] = 1
+            pwc_insert(pwc_tags, leaf_level)
             latency = t - now
             self.walks += 1
             self.total_latency += latency

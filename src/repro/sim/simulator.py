@@ -35,9 +35,8 @@ from repro.core.range_registers import VmaDescriptor
 from repro.kernelsim.process import ProcessAddressSpace
 from repro.mem.hierarchy import CacheHierarchy
 from repro.obs.probe import SimProbe
-from repro.pagetable.constants import level_shift
 from repro.pagetable.pwc import SplitPwc
-from repro.pagetable.walker import PageWalker, WalkOutcome
+from repro.pagetable.walker import PageWalker, WalkOutcome, pwc_shifts
 from repro.params import DEFAULT_MACHINE, MachineParams
 from repro.schemes import SchemeSpec, build_scheme
 from repro.sim.order import streaming_first_touch_order
@@ -303,7 +302,7 @@ class NativeSimulation:
         need_records = collect_service or walk_end is not None
         l1_latency = hierarchy.latency_of("L1")
         step_cost = base_cycles + l1_latency
-        pwc_shifts = tuple(level_shift(level) for level, _ in self.pwc.view)
+        shifts = pwc_shifts(self.pwc)
         flat_paths = self._flat_paths
         #: ASID bias, hoisted once: ORed into the vpn (and the PWC tags
         #: baked into cached flat paths) so shared TLB/PWC structures keep
@@ -364,7 +363,7 @@ class NativeSimulation:
                             lines,
                             levels,
                             tuple((va >> shift) | vbias
-                                  for shift in pwc_shifts),
+                                  for shift in shifts),
                             leaf_level,
                             pframe,
                             leaf_level >= 2,

@@ -25,6 +25,7 @@ from repro.mem.hierarchy import CacheHierarchy
 from repro.obs.probe import SimProbe
 from repro.pagetable.nested import NestedPageWalker
 from repro.pagetable.pwc import SplitPwc
+from repro.pagetable.walker import WalkOutcome
 from repro.params import DEFAULT_MACHINE, MachineParams
 from repro.schemes import SchemeSpec, build_scheme
 from repro.sim.order import streaming_first_touch_order
@@ -117,9 +118,9 @@ class VirtualizedSimulation:
             self.hierarchy, self.guest_pwc, self.host_pwc)
         self.corunner = corunner
         self.asid = asid
-        #: Per-vpn nested walk paths; instance state for the same reasons
-        #: as the native simulator's flat caches (quantum splitting and
-        #: coherent flushing).
+        #: Per-vpn flat nested walk paths (``flat_nested_path`` tuples);
+        #: instance state for the same reasons as the native simulator's
+        #: flat caches (quantum splitting and coherent flushing).
         self._nested_paths: dict[int, tuple] = {}
         #: Set by AsapScheme.bind_virtualized for introspection/back-compat.
         self.guest_prefetcher: AsapPrefetcher | None = None
@@ -156,14 +157,18 @@ class VirtualizedSimulation:
         native simulator)."""
         ordered = streaming_first_touch_order(
             (chunk >> 12 for chunk in iter_trace_chunks(trace)), order)
+        vpns = ordered.tolist()
+        touch = self.vm.touch
         faults = 0
-        for vpn in ordered.tolist():
-            if self.vm.touch(int(vpn) << 12).faulted:
+        for vpn in vpns:
+            if touch(vpn << 12).faulted:
                 faults += 1
         if self.tlbs.infinite:
-            for vpn in ordered.tolist():
-                path = self.vm.nested_path(int(vpn) << 12)
-                self.tlbs.fill(int(vpn), path.data_frame)
+            # The data frame is the host page backing the guest frame.
+            frame_of = self.vm.guest.frame_of
+            host_chain = self.vm.host_chain
+            for vpn in vpns:
+                self.tlbs.fill(vpn, host_chain(frame_of(vpn))[3] >> 12)
         return faults
 
     # ------------------------------------------------------------------
@@ -187,8 +192,11 @@ class VirtualizedSimulation:
         continuations); the scalar pipeline handles runs' first records,
         every co-runner record and the warmup boundary.  Nested walk
         paths are cached per vpn — the guest and host page tables cannot
-        change mid-run — so repeat walks skip the Figure 7 schedule
-        reconstruction.
+        change mid-run — in the flat form
+        :meth:`VirtualMachine.flat_nested_path` builds (PWC tags with
+        the ASID bias baked in, host chains shared per gPA page), so a
+        repeat walk only re-prices the schedule in
+        :attr:`NestedPageWalker.walk_flat`.
         """
         #: Observation seam (see the native simulator): phase spans and
         #: per-chunk counter snapshots when a recorder is active.
@@ -218,8 +226,10 @@ class VirtualizedSimulation:
         lookup = tlbs.lookup
         tlb_fill = tlbs.fill_fast
         access = hierarchy.access
-        nested_path = vm.nested_path
-        walk = walker.walk
+        flat_nested_path = vm.flat_nested_path
+        walk_flat = walker.walk_flat
+        guest_shifts = walker.guest_shifts
+        host_shifts = walker.host_shifts
         need_records = collect_service or walk_end is not None
         l1_latency = hierarchy.latency_of("L1")
         step_cost = base_cycles + l1_latency
@@ -275,27 +285,24 @@ class VirtualizedSimulation:
                     if measuring:
                         walk_c += translation
                 else:
-                    cached = nested_paths.get(vpn)
-                    if cached is None:
-                        path = nested_path(va)
-                        cached = (path, path.data_frame,
-                                  path.guest_leaf_level >= 2)
-                        nested_paths[vpn] = cached
-                    path, frame, large = cached
+                    flat = nested_paths.get(vpn)
+                    if flat is None:
+                        flat = flat_nested_path(va, guest_shifts,
+                                                host_shifts, vbias)
+                        nested_paths[vpn] = flat
+                    guest_tags, guest_leaf, frame, large, steps = flat
                     guest_prefetches = None
                     if walk_start is not None:
                         guest_prefetches = walk_start(va, now + offset)
-                    outcome = walk(
-                        path,
-                        now + offset,
-                        guest_prefetches=guest_prefetches,
-                        host_prefetcher=host_prefetcher,
-                        collect=need_records,
-                    )
-                    translation = offset + outcome.latency
+                    records = [] if need_records else None
+                    latency = walk_flat(guest_tags, guest_leaf, steps,
+                                        now + offset, guest_prefetches,
+                                        host_prefetcher, records)
+                    translation = offset + latency
                     if walk_end is not None:
-                        translation = walk_end(va, vpn, now, translation,
-                                               outcome)
+                        translation = walk_end(
+                            va, vpn, now, translation,
+                            WalkOutcome(latency=latency, records=records))
                     tlb_fill(vpn, frame, large=large)
                     if fill_hook is not None:
                         fill_hook(vpn, frame)
@@ -303,7 +310,7 @@ class VirtualizedSimulation:
                         walk_c += translation
                         walk_count += 1
                         if collect_service:
-                            record_service(outcome.records)
+                            record_service(records)
             data_latency = access(((frame << 12) | (va & 0xFFF)) >> 6,
                                   now + translation)
             now += base_cycles + translation + data_latency
